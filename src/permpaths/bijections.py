@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, VerificationError
 from .paths import check_path, dyck_path_from_runs, heights, is_dyck, is_first_quadrant, path_stats
 from .permutations import (
     Occurrence,
@@ -56,6 +56,12 @@ __all__ = [
 def _require(condition: bool, predicate: str, message: str) -> None:
     if not condition:
         raise DomainError(predicate, message)
+
+
+def _ensure(condition: bool, message: str) -> None:
+    # A postcondition that must hold under ``python -O`` too.
+    if not condition:
+        raise VerificationError(message)
 
 
 def _deltas(points: Sequence[int]) -> tuple[int, ...]:
@@ -119,7 +125,10 @@ def dyck_to_records(path: str) -> tuple[int, ...]:
     rest = sorted(set(range(1, n + 1)) - {v for v in out if v is not None})
     it = iter(rest)
     p = tuple(v if v is not None else next(it) for v in out)
-    assert avoids(p, (3, 2, 1)) and records_to_dyck(p) == path
+    _ensure(
+        avoids(p, (3, 2, 1)) and records_to_dyck(p) == path,
+        f"records completion of {path!r} is not its 321-avoiding preimage: {p}",
+    )
     return p
 
 
@@ -337,18 +346,13 @@ def tail_rotate_inverse(p: Sequence[int], i: int) -> tuple[int, ...]:
 
 def _the_occurrence(p: tuple[int, ...], pattern: tuple[int, ...], how_many: int) -> list[Occurrence]:
     word = "".join(str(x) for x in pattern)
-    occs = []
-    for occ in occurrences(p, pattern):
-        occs.append(occ)
-        if len(occs) > how_many:
-            break
+    found = count_occurrences(p, pattern)
     _require(
-        len(occs) == how_many,
+        found == how_many,
         f"exactly-{how_many}-{word}",
-        f"expected exactly {how_many} occurrence(s) of {word}, found "
-        f"{count_occurrences(p, pattern)} in {p}",
+        f"expected exactly {how_many} occurrence(s) of {word}, found {found} in {p}",
     )
-    return occs
+    return list(occurrences(p, pattern))
 
 
 def split_adjacent_132(p: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -397,7 +401,7 @@ def join_adjacent_132(rho: Sequence[int], k: int) -> tuple[int, ...]:
     a = 1 + sum(1 for x in rho[k:] if x < c_prime)
     lifted = [x + 2 if x >= a else x for x in rho]
     out = tuple(lifted[: k - 1] + [a, lifted[k - 1], a + 1] + lifted[k:])
-    assert count_occurrences(out, (1, 3, 2), cap=1) == 1
+    _ensure(count_occurrences(out, (1, 3, 2), cap=1) == 1, f"{out} lacks a unique 132")
     return out
 
 
@@ -428,7 +432,7 @@ def split_boundary_132(p: Sequence[int]) -> tuple[int, ...]:
     )
     assert occ.letters == (n - 2, n, n - 1)
     w2 = p[2:-1]
-    assert avoids(w2, (1, 3, 2))
+    _ensure(avoids(w2, (1, 3, 2)), f"boundary interior contains a 132: {w2}")
     return w2
 
 
@@ -445,7 +449,7 @@ def join_boundary_132(w2: Sequence[int]) -> tuple[int, ...]:
     _require(avoids(w2, (1, 3, 2)), "avoids-132", f"permutation contains a 132 pattern: {w2}")
     n = len(w2) + 3
     out = (n - 2, n) + w2 + (n - 1,)
-    assert count_occurrences(out, (1, 3, 2), cap=1) == 1
+    _ensure(count_occurrences(out, (1, 3, 2), cap=1) == 1, f"{out} lacks a unique 132")
     return out
 
 
@@ -472,8 +476,8 @@ def split_one132(p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     a, c, b = occ.letters
     rho = reduce(p[:i1] + (a, c, b) + p[i3 + 1 :])
     sigma = reduce((a, c) + p[i2 + 1 : i3] + (b,))
-    assert count_occurrences(rho, (1, 3, 2), cap=1) == 1
-    assert count_occurrences(sigma, (1, 3, 2), cap=1) == 1
+    _ensure(count_occurrences(rho, (1, 3, 2), cap=1) == 1, f"rho lacks a unique 132: {rho}")
+    _ensure(count_occurrences(sigma, (1, 3, 2), cap=1) == 1, f"sigma lacks a unique 132: {sigma}")
     return rho, sigma
 
 
@@ -512,7 +516,7 @@ def join_one132(rho: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
     w2 = [v + (a - k - 1) for v in sigma[2:-1]]
     lifted = [v + k if v >= a_prime else v for v in rho]
     out = tuple(lifted[: j1 + 2] + w2 + lifted[j1 + 2 :])
-    assert count_occurrences(out, (1, 3, 2), cap=1) == 1
+    _ensure(count_occurrences(out, (1, 3, 2), cap=1) == 1, f"{out} lacks a unique 132")
     return out
 
 
@@ -537,8 +541,8 @@ def split_one321(p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     assert p[b - 1] == b and pos_b == b - 1
     rho = reduce(p[:pos_b] + (a,))
     sigma = reduce((c,) + p[pos_b + 1 :])
-    assert avoids(rho, (3, 2, 1)) and rho[-1] <= len(rho) - 1
-    assert avoids(sigma, (3, 2, 1)) and sigma[0] >= 2
+    _ensure(avoids(rho, (3, 2, 1)) and rho[-1] <= len(rho) - 1, f"rho outside its class: {rho}")
+    _ensure(avoids(sigma, (3, 2, 1)) and sigma[0] >= 2, f"sigma outside its class: {sigma}")
     return rho, sigma
 
 
@@ -563,7 +567,7 @@ def join_one321(rho: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
     w1 = [c if v == b else v for v in rho[:-1]]
     w2 = [a if v == 1 else v + b - 1 for v in sigma[1:]]
     out = tuple(w1 + [b] + w2)
-    assert count_occurrences(out, (3, 2, 1), cap=1) == 1
+    _ensure(count_occurrences(out, (3, 2, 1), cap=1) == 1, f"{out} lacks a unique 321")
     return out
 
 
@@ -610,8 +614,8 @@ def split_two321_shared(p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, .
     assert pos_b == b
     rho = reduce(p[:pos_b] + (a,))
     sigma = reduce((c1, c2) + p[pos_b + 1 :])
-    assert avoids(rho, (3, 2, 1)) and rho[-1] <= len(rho) - 2
-    assert avoids(sigma, (3, 2, 1)) and sigma.index(1) >= 2
+    _ensure(avoids(rho, (3, 2, 1)) and rho[-1] <= len(rho) - 2, f"rho outside its class: {rho}")
+    _ensure(avoids(sigma, (3, 2, 1)) and sigma.index(1) >= 2, f"sigma outside its class: {sigma}")
     return rho, sigma
 
 
@@ -646,7 +650,10 @@ def join_two321_shared(rho: Sequence[int], sigma: Sequence[int]) -> tuple[int, .
     w2 = [a if v == 1 else v + b - 1 for v in sigma[2:]]
     out = tuple(w1 + [b] + w2)
     occ1, occ2 = _two321_sorted(out)
-    assert occ1[1] == occ2[1] and occ1[2] == occ2[2]
+    _ensure(
+        occ1[1] == occ2[1] and occ1[2] == occ2[2],
+        f"the two 321s of {out} do not share their middle and last letters",
+    )
     return out
 
 
@@ -684,8 +691,11 @@ def split_two321_distinct(p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int,
     w3[w3.index(a2)] = a1
     rho = reduce(tuple(w1) + (b1,) + tuple(w3))
     sigma = reduce((c1,) + tuple(w2) + (a2,))
-    assert count_occurrences(rho, (3, 2, 1), cap=1) == 1
-    assert avoids(sigma, (3, 2, 1)) and sigma[0] >= 2 and sigma[-1] <= len(sigma) - 1
+    _ensure(count_occurrences(rho, (3, 2, 1), cap=1) == 1, f"rho lacks a unique 321: {rho}")
+    _ensure(
+        avoids(sigma, (3, 2, 1)) and sigma[0] >= 2 and sigma[-1] <= len(sigma) - 1,
+        f"sigma outside its class: {sigma}",
+    )
     return rho, sigma
 
 
@@ -725,5 +735,5 @@ def join_two321_distinct(rho: Sequence[int], sigma: Sequence[int]) -> tuple[int,
     lifted[qa] = a2
     out = tuple(lifted[: qb + 1] + w2 + [b2] + lifted[qb + 1 :])
     occ1, occ2 = _two321_sorted(out)
-    assert occ1[1] != occ2[1]
+    _ensure(occ1[1] != occ2[1], f"the two 321s of {out} share their middle letter")
     return out

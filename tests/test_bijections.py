@@ -6,6 +6,9 @@ hypothesis picking random elements of the right classes.
 """
 
 import itertools
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -36,7 +39,7 @@ from permpaths.bijections import (
 from permpaths.errors import DomainError
 from permpaths.oracle import enumerate_dyck, enumerate_paths
 from permpaths.paths import path_stats
-from permpaths.permutations import avoids, count_occurrences
+from permpaths.permutations import _occurrences_by_subsets, avoids, count_occurrences
 
 
 def _class_members(n, pattern, k):
@@ -277,3 +280,203 @@ def test_two321_round_trip(p):
     elif a1 == a2:
         rho, sigma = split_two321_shared(p)
         assert join_two321_shared(rho, sigma) == p
+
+
+def test_postconditions_survive_python_O():
+    """Pattern postconditions are explicit checks, not asserts that
+    ``python -O`` strips: with the counter broken, the join refuses."""
+    code = (
+        "import permpaths.bijections as b\n"
+        "b.count_occurrences = lambda *args, **kwargs: 0\n"
+        "try:\n"
+        "    b.join_boundary_132((1,))\n"
+        "except b.VerificationError:\n"
+        "    print('refused')\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert run.stdout.strip() == "refused", run.stderr
+
+
+# -- every pair at n = 1000 ------------------------------------------------
+#
+# Inputs are built from the class definitions with a seeded generator;
+# small cores are picked by the subset-scan reference, never by the maps
+# under test.
+
+LARGE = 1000
+
+
+def _dyck(rng, n):
+    """A Dyck path of semilength n by the cycle lemma: of the rotations
+    of a shuffled word with n ups and n+1 downs, the one cut after the
+    first lowest point stays nonnegative until its final D."""
+    steps = ["U"] * n + ["D"] * (n + 1)
+    rng.shuffle(steps)
+    h = low = cut = 0
+    for t, s in enumerate(steps):
+        h += 1 if s == "U" else -1
+        if h < low:
+            low, cut = h, t + 1
+    return "".join(steps[cut:] + steps[:cut])[:-1]
+
+
+def _avoider321(rng, n):
+    """A shuffle of two increasing sequences, which avoids 321."""
+    slots = set(rng.sample(range(n), n // 2))
+    low = sorted(rng.sample(range(1, n + 1), n // 2))
+    high = iter(sorted(set(range(1, n + 1)) - set(low)))
+    low = iter(low)
+    return tuple(next(low) if t in slots else next(high) for t in range(n))
+
+
+def _avoider132(rng, n):
+    """L n R with L above R and both 132-avoiding, which avoids 132."""
+    if n == 0:
+        return ()
+    k = rng.randrange(n)
+    left = tuple(v + n - 1 - k for v in _avoider132(rng, k))
+    return left + (n,) + _avoider132(rng, n - 1 - k)
+
+
+
+def _direct_sum(*parts):
+    """Each part above the ones before it; its 321s are those of the parts."""
+    out = []
+    for part in parts:
+        below = len(out)
+        out.extend(v + below for v in part)
+    return tuple(out)
+
+
+def _skew_sum(*parts):
+    """Each part below the ones before it; its 132s are those of the parts."""
+    out = []
+    above = sum(map(len, parts))
+    for part in parts:
+        above -= len(part)
+        out.extend(v + above for v in part)
+    return tuple(out)
+
+
+def _core(rng, pattern, accept):
+    """A permutation of 3 to 7 letters whose occurrence letter triples
+    satisfy ``accept``, by rejection with the subset scan."""
+    while True:
+        n = rng.randint(3, 7)
+        word = tuple(rng.sample(range(1, n + 1), n))
+        if accept([o.letters for o in _occurrences_by_subsets(word, pattern)]):
+            return word
+
+
+def _around(rng, core, avoider, join):
+    left = rng.randint(0, LARGE - len(core))
+    return join(avoider(rng, left), core, avoider(rng, LARGE - len(core) - left))
+
+
+def _one321(rng):
+    return _around(rng, _core(rng, (3, 2, 1), lambda o: len(o) == 1), _avoider321, _direct_sum)
+
+
+def _two321(rng, accept):
+    core = _core(rng, (3, 2, 1), lambda o: len(o) == 2 and accept(*o))
+    return _around(rng, core, _avoider321, _direct_sum)
+
+
+def _boundary132(rng, m):
+    """(m-2, m) W (m-1) with W a 132-avoider: the one 132 sits at the
+    first, second and last positions."""
+    return (m - 2, m) + _avoider132(rng, m - 3) + (m - 1,)
+
+
+def _returns(path):
+    h = count = 0
+    for s in path:
+        h += 1 if s == "U" else -1
+        count += s == "D" and h == 0
+    return count
+
+
+def _transfer_input(rng):
+    """A Dyck path whose first i descents have length 1, with more than
+    i + 1 descents, by rejection."""
+    i = rng.randint(1, 3)
+    while True:
+        d = _dyck(rng, LARGE)
+        descents = [len(run) for run in d.split("U") if run]
+        if len(descents) > i + 1 and descents[:i] == [1] * i:
+            return d, i
+
+
+def _rotation_input(rng):
+    """A 321-avoider ending in its maximum and a width whose tail rises."""
+    p = _avoider321(rng, LARGE - 1) + (LARGE,)
+    rise = 1
+    while rise < LARGE - 1 and p[-rise - 1] < p[-rise]:
+        rise += 1
+    return p, rng.randint(1, rise)
+
+
+def _records(rng):
+    p = _avoider321(rng, LARGE)
+    assert dyck_to_records(records_to_dyck(p)) == p
+    d = _dyck(rng, LARGE)
+    assert records_to_dyck(dyck_to_records(d)) == d
+
+
+def _returns_pair(rng):
+    for path in (_dyck(rng, LARGE), _dyck(rng, LARGE)[: LARGE + LARGE // 2]):
+        assert insert_returns(delete_returns(path), _returns(path)) == path
+
+
+def _transfer(rng):
+    d, i = _transfer_input(rng)
+    assert transfer_upsteps_inverse(transfer_upsteps(d, i), i) == d
+
+
+def _rotation(rng):
+    p, i = _rotation_input(rng)
+    assert tail_rotate_inverse(tail_rotate(p, i), i) == p
+
+
+def _adjacent(rng):
+    p = _around(rng, (1, 3, 2), _avoider132, _skew_sum)
+    assert join_adjacent_132(*split_adjacent_132(p)) == p
+
+
+def _boundary(rng):
+    p = _boundary132(rng, LARGE)
+    assert join_boundary_132(split_boundary_132(p)) == p
+
+
+def _one132(rng):
+    core = _boundary132(rng, rng.randint(3, LARGE // 2))
+    p = _around(rng, core, _avoider132, _skew_sum)
+    assert join_one132(*split_one132(p)) == p
+
+
+def _one321_pair(rng):
+    p = _one321(rng)
+    assert join_one321(*split_one321(p)) == p
+
+
+def _shared(rng):
+    p = _two321(rng, lambda x, y: x[1:] == y[1:])
+    assert join_two321_shared(*split_two321_shared(p)) == p
+
+
+def _distinct(rng):
+    p = _two321(rng, lambda x, y: x[1] != y[1])
+    assert join_two321_distinct(*split_two321_distinct(p)) == p
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [_records, _returns_pair, _transfer, _rotation, _adjacent, _boundary, _one132,
+     _one321_pair, _shared, _distinct],
+    ids=lambda f: f.__name__.strip("_"),
+)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_round_trip_at_n_1000(round_trip, seed):
+    round_trip(random.Random(seed))

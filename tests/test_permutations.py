@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from permpaths.errors import InvalidInputError
 from permpaths.permutations import (
     Occurrence,
+    _count_by_subsets,
+    _occurrences_by_subsets,
     avoids,
     complement,
     count_occurrences,
@@ -18,12 +20,14 @@ from permpaths.permutations import (
     record_highs,
     reduce,
     reverse,
-    roles3,
 )
 
 perms = st.integers(1, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 )
+SHORT_PATTERNS = [
+    t for k in (1, 2, 3) for t in itertools.permutations(range(1, k + 1))
+]
 
 
 def test_reduce():
@@ -89,18 +93,50 @@ def test_occurrences_match_brute_force(p):
     assert count_occurrences(p, pattern) == naive
 
 
+def test_short_patterns_match_subset_scan_exhaustively():
+    """Corner-count counting and locating agree with the C(n, k) scan on
+    all of S_0..S_7, for every pattern of length 1 to 3 and every cap."""
+    for n in range(8):
+        for p in itertools.permutations(range(1, n + 1)):
+            for t in SHORT_PATTERNS:
+                for cap in (None, 0, 1, 2):
+                    expected = _count_by_subsets(p, t, cap)
+                    assert count_occurrences(p, t, cap=cap) == expected, (p, t, cap)
+                assert avoids(p, t) == (_count_by_subsets(p, t, 0) == 0)
+                assert list(occurrences(p, t)) == list(_occurrences_by_subsets(p, t)), (p, t)
+
+
+@given(
+    word=st.lists(st.integers(-60, 60), unique=True, max_size=40).map(tuple),
+    pattern=st.sampled_from(SHORT_PATTERNS),
+)
+def test_short_patterns_match_subset_scan_on_words(word, pattern):
+    """Words of distinct, non-contiguous letters, as slices such as
+    ``sigma[2:-1]`` are, give the scan's counts and occurrence lists."""
+    assert count_occurrences(word, pattern) == _count_by_subsets(word, pattern)
+    assert count_occurrences(word, pattern, cap=1) == _count_by_subsets(word, pattern, 1)
+    assert list(occurrences(word, pattern)) == list(_occurrences_by_subsets(word, pattern))
+
+
+@pytest.mark.parametrize("pattern", [(1,), (2, 1), (1, 3, 2), (3, 2, 1), (2, 4, 1, 3)])
+def test_repeated_letters_rejected(pattern):
+    word = (3, 1, 3, 2, 4)
+    with pytest.raises(InvalidInputError):
+        count_occurrences(word, pattern)
+    with pytest.raises(InvalidInputError):
+        avoids(word, pattern)
+    with pytest.raises(InvalidInputError):
+        list(occurrences(word, pattern))
+
+
+def test_negative_cap_rejected():
+    with pytest.raises(InvalidInputError):
+        count_occurrences((3, 2, 1), (3, 2, 1), cap=-1)
+
+
 def test_record_highs():
     assert record_highs((2, 1, 4, 7, 3, 5, 6)) == (0, 2, 3)
     assert record_highs((1, 2, 3)) == (0, 1, 2)
-
-
-def test_roles3():
-    """Letters of a 3-letter occurrence sorted into a < b < c roles."""
-    occ = next(iter(occurrences((3, 1, 2), (3, 1, 2))))
-    r = roles3(occ)
-    assert r["a"] == (1, 1)
-    assert r["b"] == (2, 2)
-    assert r["c"] == (0, 3)
 
 
 def test_parse_and_format_round_trip():
