@@ -170,7 +170,7 @@ def count(family: str, n: int) -> int:
         raise UnsupportedClassError(
             f"unknown family {family!r}; known: {', '.join(sorted(FORMULAS))}"
         )
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidInputError(f"n must be a positive integer: {n!r}")
     return FORMULAS[family][0](n)
 
@@ -243,7 +243,7 @@ def count_avoider_class(n: int, c: AvoiderClassConstraint) -> int:
     >>> count_avoider_class(5, LastIIncreasing(5))
     1
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidInputError(f"n must be a positive integer: {n!r}")
     match c:
         case FirstEntryEq(k=k) if k >= 1:

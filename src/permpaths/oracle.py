@@ -9,17 +9,26 @@ the order is deterministic and does not depend on the worker count.
 Counting sweeps over S_n are vectorized with numpy in chunks (and can
 be partitioned by first letter across worker processes; partial counts
 are summed in first-letter order, so results are identical for any
-worker count).  The streaming generators and the per-word ``holds``
-predicates are the plain-Python reference; tests cross-check the two.
+worker count).  The rows are built in numpy, never as Python tuples:
+a lexicographic table of S_m (m <= 9) is built on first use and cached
+per process, and each block is a lead of fixed letters followed by a
+slice of that table relabelled onto the letters the lead leaves
+unused.  Each condition's ``mask`` tests its definition directly (a
+pattern count tries all C(n, k) index sets), so the scan does not
+share the counting method of ``permutations``.  The streaming
+generators and the per-word ``holds`` predicates are the plain-Python
+reference; tests cross-check the two.
 
 Sizes are capped because the state spaces explode; pass
 ``allow_large=True`` to override a cap deliberately.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Iterator, Sequence
 
@@ -36,7 +45,7 @@ MAX_MARKED_SIZE = 12  # cap on n + k for marked-path histograms
 WORKERS_ENV_VAR = "PERMPATHS_WORKERS"
 
 _CHUNK_ROWS = 131072
-_PARALLEL_MIN_N = 9
+_PARALLEL_MIN_N = 10  # below this one process beats the pool (BENCH_oracle_blocks.json)
 
 
 # ---------------------------------------------------------------------------
@@ -58,17 +67,22 @@ class PatternCount:
     def holds(self, word: Sequence[int]) -> bool:
         return count_occurrences(word, self.pattern, cap=self.count) == self.count
 
-    def mask(self, arr: np.ndarray) -> np.ndarray:
+    def counts(self, arr: np.ndarray) -> np.ndarray:
+        """Occurrences of ``pattern`` in each row, by trying every one of
+        the C(n, k) index sets."""
         n = arr.shape[1]
         k = len(self.pattern)
+        if k == 1:
+            return np.full(arr.shape[0], n, dtype=np.int16)
         counts = np.zeros(arr.shape[0], dtype=np.int16)
         if n >= k:
+            cols = np.ascontiguousarray(arr.T)  # one contiguous row per position
             less = {}
-            for i, j in itertools.combinations(range(n), 2):
-                less[i, j] = arr[:, i] < arr[:, j]
 
             def is_less(i, j):
-                return less[i, j] if i < j else ~less[j, i]
+                if (i, j) not in less:
+                    less[i, j] = cols[i] < cols[j]
+                return less[i, j]
 
             chain = sorted(range(k), key=lambda i: self.pattern[i])
             for combo in itertools.combinations(range(n), k):
@@ -76,7 +90,10 @@ class PatternCount:
                 for t in range(1, k - 1):
                     m = m & is_less(combo[chain[t]], combo[chain[t + 1]])
                 counts += m
-        return counts == self.count
+        return counts
+
+    def mask(self, arr: np.ndarray) -> np.ndarray:
+        return self.counts(arr) == self.count
 
 
 @dataclasses.dataclass(frozen=True)
@@ -210,6 +227,8 @@ def matches(word: Sequence[int], conditions: Iterable[PermCondition]) -> bool:
 
 
 def _check_perm_size(n: int, allow_large: bool) -> None:
+    if isinstance(n, bool):
+        raise InvalidInputError(f"n must be an integer, not {n!r}")
     if n < 0:
         raise InvalidInputError("n must be >= 0")
     if n > MAX_PERM_N and not allow_large:
@@ -230,36 +249,62 @@ def enumerate_perms(
             yield p
 
 
-def _first_letter_blocks(n: int, first: int | None) -> Iterator[tuple[int, ...]]:
-    if first is None:
-        yield from itertools.permutations(range(1, n + 1))
+_TABLE_MAX_M = 9  # S_9 is 362,880 rows, 3.3 MB as int8
+
+
+@functools.lru_cache(maxsize=None)
+def _perm_table(m: int) -> np.ndarray:
+    """All permutations of 0..m-1 in lexicographic order, read-only and
+    transposed: entry [i, r] is letter i of permutation r."""
+    if m == 0:
+        table = np.zeros((0, 1), dtype=np.int8)
     else:
-        rest = [v for v in range(1, n + 1) if v != first]
-        for t in itertools.permutations(rest):
-            yield (first,) + t
+        sub = _perm_table(m - 1)
+        width = sub.shape[1]
+        table = np.empty((m, m * width), dtype=np.int8)
+        for i in range(m):
+            table[0, i * width : (i + 1) * width] = i
+            table[1:, i * width : (i + 1) * width] = sub + (sub >= i)
+    table.flags.writeable = False
+    return table
+
+
+def _perm_blocks(n: int, first: int | None = None) -> Iterator[np.ndarray]:
+    """The permutations of 1..n, or only those starting with ``first``,
+    in lexicographic order, as int8 arrays of at most ``_CHUNK_ROWS``
+    rows (column-major, so each position is one contiguous column).
+
+    A row is a lead (``first``, then a prefix of the letters left after
+    it, in lexicographic order) followed by a row of the table of S_m,
+    m = min(letters left, ``_TABLE_MAX_M``), relabelled onto the
+    letters the lead leaves unused.
+    """
+    head = () if first is None else (first,)
+    free = [v for v in range(1, n + 1) if v not in head]
+    m = min(len(free), _TABLE_MAX_M)
+    table = _perm_table(m)
+    for prefix in itertools.permutations(free, len(free) - m):
+        lead = head + prefix
+        for start in range(0, table.shape[1], _CHUNK_ROWS):
+            part = table[:, start : start + _CHUNK_ROWS]
+            block = np.empty((n, part.shape[1]), dtype=np.int8)
+            block[: len(lead)] = np.array(lead, dtype=np.int8).reshape(-1, 1)
+            rest = block[len(lead) :]
+            np.add(part, 1, out=rest)
+            for letter in sorted(lead):  # skip over the letters the lead uses
+                rest += rest >= letter
+            yield block.T
 
 
 def _count_block(n: int, first: int | None, conditions: PermFilter) -> int:
     # Cheap positional masks first, pattern counting on the survivors.
-    cheap = tuple(c for c in conditions if not isinstance(c, PatternCount))
-    patterns = tuple(c for c in conditions if isinstance(c, PatternCount))
+    ordered = sorted(conditions, key=lambda c: isinstance(c, PatternCount))
     total = 0
-    source = _first_letter_blocks(n, first)
-    while True:
-        block = list(itertools.islice(source, _CHUNK_ROWS))
-        if not block:
-            return total
-        arr = np.array(block, dtype=np.int8)
-        if arr.ndim == 1:  # n == 0: single empty row
-            arr = arr.reshape(len(block), 0)
-        alive = np.ones(len(block), dtype=bool)
-        for c in cheap:
-            alive &= c.mask(arr)
-        sub = arr[alive]
-        keep = np.ones(sub.shape[0], dtype=bool)
-        for c in patterns:
-            keep &= c.mask(sub)
-        total += int(keep.sum())
+    for arr in _perm_blocks(n, first):
+        for c in ordered:
+            arr = arr[c.mask(arr)]
+        total += len(arr)
+    return total
 
 
 def _allowed_firsts(n: int, conditions: PermFilter) -> list[int] | None:
@@ -301,7 +346,9 @@ def count_perms(
     _check_perm_size(n, allow_large)
     conditions = tuple(conditions)
     if workers is None:
-        workers = _default_workers() if n >= _PARALLEL_MIN_N else 1
+        workers = _default_workers()  # read even when unused: a bad setting fails loudly
+        if n < _PARALLEL_MIN_N:
+            workers = 1
     firsts = _allowed_firsts(n, conditions) if n >= 2 else None
     if firsts is None:
         firsts = list(range(1, n + 1))
@@ -313,7 +360,8 @@ def count_perms(
     try:
         with ProcessPoolExecutor(max_workers=min(workers, k)) as pool:
             parts = list(pool.map(_count_block, [n] * k, firsts, [conditions] * k))
-    except OSError:
+    except OSError as e:
+        print(f"permpaths: worker pool unavailable ({e}); counting serially", file=sys.stderr)
         return sum(_count_block(n, f, conditions) for f in firsts)
     return sum(parts)
 

@@ -18,14 +18,20 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 from typing import Callable, Iterable, Sequence
 
 from . import bijections as bij
 from . import formulas, oracle, series
 from . import paths as pathmod
 from .errors import InvalidInputError, VerificationError
-from .oracle import FirstEq, PatternCount, count_perms, enumerate_dyck, enumerate_paths
+from .oracle import (
+    FirstEq,
+    PatternCount,
+    _perm_blocks,
+    count_perms,
+    enumerate_dyck,
+    enumerate_paths,
+)
 from .paths import ballot, ballot_quotient_form, binomial, catalan, path_stats
 from .permutations import avoids, complement, reverse
 
@@ -58,14 +64,14 @@ def _eq(actual, expected, context: str) -> None:
 @functools.lru_cache(maxsize=None)
 def _pattern_census(n: int, pattern: tuple[int, ...], kmax: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Permutations of [n] grouped by occurrence count of ``pattern``:
-    entry k lists those with exactly k occurrences, for k <= kmax."""
-    from .permutations import count_occurrences
-
+    entry k lists those with exactly k occurrences, for k <= kmax, in
+    lexicographic order."""
+    counter = PatternCount(pattern, 0)
     groups: list[list[tuple[int, ...]]] = [[] for _ in range(kmax + 1)]
-    for p in itertools.permutations(range(1, n + 1)):
-        c = count_occurrences(p, pattern, cap=kmax + 1)
-        if c <= kmax:
-            groups[c].append(p)
+    for block in _perm_blocks(n):
+        counts = counter.counts(block)
+        for k, group in enumerate(groups):
+            group.extend(map(tuple, block[counts == k].tolist()))
     return tuple(tuple(g) for g in groups)
 
 

@@ -86,6 +86,14 @@ def test_bad_size():
         count("p321-1", -3)
 
 
+@pytest.mark.parametrize("n", [True, False])
+def test_bool_size_rejected(n):
+    with pytest.raises(InvalidInputError):
+        count("p321-1", n)
+    with pytest.raises(InvalidInputError):
+        count_avoider_class(n, FirstEntryEq(1))
+
+
 # -- avoider classes ---------------------------------------------------------
 
 

@@ -24,6 +24,7 @@ from permpaths.oracle import (
     MaxPosLe,
     OnePosGe,
     PatternCount,
+    _perm_blocks,
     count_perms,
     enumerate_dyck,
     enumerate_paths,
@@ -102,6 +103,57 @@ def test_vectorized_mask_matches_holds(condition):
         assert bool(bit) == condition.holds(row), (row, condition)
 
 
+def _assert_blocks_equal_itertools(n):
+    for first in [None, *range(1, n + 1)]:
+        got = [tuple(row) for block in _perm_blocks(n, first) for row in block.tolist()]
+        want = [
+            p for p in itertools.permutations(range(1, n + 1)) if first is None or p[0] == first
+        ]
+        assert got == want, first
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_perm_blocks_equal_itertools_row_for_row(n):
+    _assert_blocks_equal_itertools(n)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_perm_blocks_with_prefixes_equal_itertools(n, monkeypatch):
+    """A small table and small chunks make every block a prefix plus a
+    relabelled slice, cut mid-table; the stream must not change."""
+    import permpaths.oracle as oracle_mod
+
+    monkeypatch.setattr(oracle_mod, "_TABLE_MAX_M", 3)
+    monkeypatch.setattr(oracle_mod, "_CHUNK_ROWS", 4)
+    _assert_blocks_equal_itertools(n)
+    assert max(len(b) for b in _perm_blocks(n)) <= 4
+
+
+def test_perm_blocks_past_the_table():
+    rows = 0
+    for block in _perm_blocks(11, 4):
+        if rows == 0:
+            assert tuple(block[0].tolist()) == (4, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11)
+        assert len(block) <= 131072
+        rows += len(block)
+    assert rows == 3628800
+    assert tuple(block[-1].tolist()) == (4, 11, 10, 9, 8, 7, 6, 5, 3, 2, 1)
+
+
+def test_pattern_counts_match_count_occurrences():
+    import numpy as np
+
+    from permpaths.permutations import count_occurrences
+
+    rows = list(itertools.permutations(range(1, 7)))
+    arr = np.array(rows, dtype=np.int8)
+    for k in (1, 2, 3):
+        for pattern in itertools.permutations(range(1, k + 1)):
+            counts = PatternCount(pattern, 0).counts(arr)
+            assert counts.tolist() == [count_occurrences(r, pattern) for r in rows], pattern
+    assert PatternCount((1,), 6).mask(arr).all()
+
+
 def test_count_perms_equals_streaming_filter():
     for conds in [(), (FirstEq(3),), (PatternCount((3, 2, 1), 1), LastRunIncreasing(2))]:
         want = sum(1 for _ in enumerate_perms(6, conds))
@@ -113,6 +165,28 @@ def test_count_perms_worker_invariance():
     serial = count_perms(7, conds, workers=1)
     assert count_perms(7, conds, workers=2) == serial
     assert count_perms(7, conds, workers=5) == serial
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_pooled_count_equals_serial(n):
+    for conds in [FAMILY_CONDITIONS["p321-2"], (PatternCount((3, 2, 1), 0), LastLe(n - 2))]:
+        assert count_perms(n, conds, workers=2) == count_perms(n, conds, workers=1)
+
+
+def test_pool_failure_falls_back_with_warning(monkeypatch, capsys):
+    import permpaths.oracle as oracle_mod
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise OSError("no processes")
+
+    conds = (PatternCount((3, 2, 1), 1),)
+    serial = count_perms(7, conds, workers=1)
+    monkeypatch.setattr(oracle_mod, "ProcessPoolExecutor", NoPool)
+    assert count_perms(7, conds, workers=2) == serial
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "serial" in err and "no processes" in err
 
 
 def test_workers_env_var(monkeypatch):
@@ -146,6 +220,10 @@ def test_perm_cap():
         list(enumerate_perms(12))
     with pytest.raises(InvalidInputError):
         count_perms(-1, ())
+    with pytest.raises(InvalidInputError):
+        count_perms(True, ())
+    with pytest.raises(InvalidInputError):
+        list(enumerate_perms(False))
 
 
 def test_enumerate_dyck_counts_and_order():
