@@ -46,6 +46,7 @@ from .oracle import (
     enumerate_perms,
     marked_highpoint_histogram,
     oracle_count,
+    stream_perms,
 )
 from .paths import (
     ballot,
@@ -125,6 +126,7 @@ __all__ = [
     "split_one321",
     "split_two321_distinct",
     "split_two321_shared",
+    "stream_perms",
     "tail_rotate",
     "tail_rotate_inverse",
     "transfer_upsteps",

@@ -15,7 +15,7 @@ import dataclasses
 import json
 import re
 import sys
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from . import bijections as bij
 from . import formulas, oracle, verify
@@ -26,13 +26,8 @@ from .errors import (
     UnsupportedClassError,
     VerificationError,
 )
-from .paths import heights, parse_path
-from .permutations import (
-    check_pattern,
-    count_occurrences,
-    format_permutation,
-    parse_permutation,
-)
+from .paths import parse_path
+from .permutations import format_permutation, parse_permutation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,26 +45,32 @@ FILTER_PRESETS = {"last2up": "last_inc(2)"}
 @dataclasses.dataclass(frozen=True)
 class _Atom:
     kind: str
-    argument: object
+    value: object  # an oracle condition, or the bound of a height atom
 
     def perm_only(self) -> bool:
         return self.kind != "height"
 
 
+# kind, syntax, and what the matched groups compile to
 _ATOM_RES = [
-    ("pattern", re.compile(r"pattern\(\s*([0-9][0-9 ,]*?)\s*\)\s*==\s*(\d+)\s*$")),
-    ("first", re.compile(r"first\s*>=\s*(\d+)\s*$")),
-    ("last_inc", re.compile(r"last_inc\(\s*(\d+)\s*\)\s*$")),
-    ("pos_of_max", re.compile(r"pos_of_max\s*<=\s*(\d+)\s*$")),
-    ("height", re.compile(r"height\s*<=\s*(\d+)\s*$")),
+    (
+        "pattern",
+        re.compile(r"pattern\(\s*([0-9][0-9 ,]*?)\s*\)\s*==\s*(\d+)\s*$"),
+        lambda letters, k: oracle.PatternCount(parse_permutation(letters), int(k)),
+    ),
+    ("first", re.compile(r"first\s*>=\s*(\d+)\s*$"), lambda k: oracle.FirstGe(int(k))),
+    ("last_inc", re.compile(r"last_inc\(\s*(\d+)\s*\)\s*$"), lambda k: oracle.LastRunIncreasing(int(k))),
+    ("pos_of_max", re.compile(r"pos_of_max\s*<=\s*(\d+)\s*$"), lambda k: oracle.MaxPosLe(int(k))),
+    ("height", re.compile(r"height\s*<=\s*(\d+)\s*$"), int),
 ]
 
 
 def parse_filter(text: str) -> tuple[_Atom, ...]:
     """Parse a conjunction like ``"pattern(2 1)==1 && first>=2"``.
 
-    Raises InvalidInputError naming the character position where
-    parsing fails.
+    Permutation atoms compile to the oracle's conditions; a height atom
+    keeps its bound.  Raises InvalidInputError naming the character
+    position where parsing fails.
     """
     atoms = []
     offset = 0
@@ -81,7 +82,7 @@ def parse_filter(text: str) -> tuple[_Atom, ...]:
         chunk = piece.strip()
         if not chunk:
             raise InvalidInputError(f"empty filter term at position {start}")
-        for kind, rx in _ATOM_RES:
+        for kind, rx, compile_atom in _ATOM_RES:
             m = rx.match(chunk)
             if m:
                 break
@@ -89,49 +90,11 @@ def parse_filter(text: str) -> tuple[_Atom, ...]:
             raise InvalidInputError(
                 f"cannot parse filter at position {start}: {chunk!r}"
             )
-        if kind == "pattern":
-            pattern = check_pattern(parse_permutation(m.group(1)))
-            atoms.append(_Atom("pattern", (pattern, int(m.group(2)))))
-        else:
-            atoms.append(_Atom(kind, int(m.group(1))))
+        atoms.append(_Atom(kind, compile_atom(*m.groups())))
         if cut < 0:
             return tuple(atoms)
         offset += cut + 2
         remaining = remaining[cut + 2 :]
-
-
-def _perm_predicate(atoms: Sequence[_Atom]) -> Callable[[tuple[int, ...]], bool]:
-    def pred(p: tuple[int, ...]) -> bool:
-        n = len(p)
-        for a in atoms:
-            match a.kind:
-                case "pattern":
-                    pattern, want = a.argument
-                    if count_occurrences(p, pattern, cap=want + 1) != want:
-                        return False
-                case "first":
-                    if n == 0 or p[0] < a.argument:
-                        return False
-                case "last_inc":
-                    i = a.argument
-                    if n < i or any(p[j] >= p[j + 1] for j in range(n - i, n - 1)):
-                        return False
-                case "pos_of_max":
-                    if n == 0 or p.index(n) + 1 > a.argument:
-                        return False
-        return True
-
-    return pred
-
-
-def _path_predicate(atoms: Sequence[_Atom]) -> Callable[[str], bool]:
-    def pred(d: str) -> bool:
-        for a in atoms:
-            if a.kind == "height" and max(heights(d), default=0) > a.argument:
-                return False
-        return True
-
-    return pred
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +234,18 @@ def _cmd_enumerate(args, out: TextIO) -> int:
             raise InvalidInputError(
                 f"filter atom {bad[0].kind!r} applies to paths; use --kind dyck"
             )
-        pred = _perm_predicate(atoms)
-        for p in oracle.enumerate_perms(args.n):
-            if pred(p):
-                print(format_permutation(p), file=out)
+        perms = oracle.stream_perms(args.n, [a.value for a in atoms])
+        rows = map(format_permutation, perms)
     else:
         bad = [a for a in atoms if a.perm_only()]
         if bad:
             raise InvalidInputError(
                 f"filter atom {bad[0].kind!r} applies to permutations; use --kind perm"
             )
-        pred = _path_predicate(atoms)
-        for d in oracle.enumerate_dyck(args.n):
-            if pred(d):
-                print(d, file=out)
+        height = min((a.value for a in atoms), default=None)
+        rows = oracle.enumerate_paths(args.n, args.n, lo=0, hi=height)
+    for row in rows:
+        out.write(row + "\n")
     return EXIT_OK
 
 

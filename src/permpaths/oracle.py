@@ -15,9 +15,16 @@ per process, and each block is a lead of fixed letters followed by a
 slice of that table relabelled onto the letters the lead leaves
 unused.  Each condition's ``mask`` tests its definition directly (a
 pattern count tries all C(n, k) index sets), so the scan does not
-share the counting method of ``permutations``.  The streaming
-generators and the per-word ``holds`` predicates are the plain-Python
-reference; tests cross-check the two.
+share the counting method of ``permutations``.  One generator masks
+the blocks: ``count_perms`` sums the lengths of what survives, and
+``stream_perms`` hands the surviving rows out in lexicographic order
+(this is what ``permpaths enumerate`` prints, its filter atoms compiled
+to these conditions).  ``enumerate_perms`` and the per-word ``holds``
+predicates are the plain-Python reference; tests cross-check the two.
+
+Paths are generated without recursion, pruned at the height band
+rather than filtered after the fact: prefixes grow on an explicit
+stack and end in suffixes read from a small per-height table.
 
 Sizes are capped because the state spaces explode; pass
 ``allow_large=True`` to override a cap deliberately.
@@ -226,11 +233,15 @@ def matches(word: Sequence[int], conditions: Iterable[PermCondition]) -> bool:
 # permutation enumeration and counting
 
 
-def _check_perm_size(n: int, allow_large: bool) -> None:
+def _check_size(n: int, what: str = "n") -> None:
     if isinstance(n, bool):
-        raise InvalidInputError(f"n must be an integer, not {n!r}")
+        raise InvalidInputError(f"{what} must be an integer, not {n!r}")
     if n < 0:
-        raise InvalidInputError("n must be >= 0")
+        raise InvalidInputError(f"{what} must be >= 0")
+
+
+def _check_perm_size(n: int, allow_large: bool) -> None:
+    _check_size(n)
     if n > MAX_PERM_N and not allow_large:
         raise ResourceLimitError(
             f"refusing to enumerate S_{n} (cap {MAX_PERM_N}); pass allow_large to force"
@@ -241,7 +252,8 @@ def enumerate_perms(
     n: int, conditions: Iterable[PermCondition] = (), allow_large: bool = False
 ) -> Iterator[tuple[int, ...]]:
     """All permutations of 1..n satisfying every condition, in
-    lexicographic order."""
+    lexicographic order, tested one by one with ``holds`` (the
+    reference for ``stream_perms``)."""
     _check_perm_size(n, allow_large)
     conditions = tuple(conditions)
     for p in itertools.permutations(range(1, n + 1)):
@@ -296,30 +308,53 @@ def _perm_blocks(n: int, first: int | None = None) -> Iterator[np.ndarray]:
             yield block.T
 
 
-def _count_block(n: int, first: int | None, conditions: PermFilter) -> int:
+def _filtered_blocks(n: int, first: int | None, conditions: PermFilter) -> Iterator[np.ndarray]:
+    """The blocks of ``_perm_blocks(n, first)`` cut down to the rows
+    satisfying every condition, in the same order."""
     # Cheap positional masks first, pattern counting on the survivors.
     ordered = sorted(conditions, key=lambda c: isinstance(c, PatternCount))
-    total = 0
     for arr in _perm_blocks(n, first):
         for c in ordered:
             arr = arr[c.mask(arr)]
-        total += len(arr)
-    return total
+        yield arr
 
 
-def _allowed_firsts(n: int, conditions: PermFilter) -> list[int] | None:
-    """First letters compatible with the first-letter conditions, or
-    ``None`` when no condition constrains the first letter."""
-    ok: set[int] | None = None
+def _count_block(n: int, first: int | None, conditions: PermFilter) -> int:
+    return sum(len(arr) for arr in _filtered_blocks(n, first, conditions))
+
+
+def _allowed_firsts(n: int, conditions: PermFilter) -> list[int]:
+    """First letters compatible with the first-letter conditions, in
+    increasing order."""
+    ok = set(range(1, n + 1))
     for c in conditions:
         if isinstance(c, FirstEq):
-            this = {c.value} if 1 <= c.value <= n else set()
+            ok &= {c.value}
         elif isinstance(c, FirstGe):
-            this = set(range(max(1, c.value), n + 1))
-        else:
-            continue
-        ok = this if ok is None else ok & this
-    return None if ok is None else sorted(ok)
+            ok &= set(range(c.value, n + 1))
+    return sorted(ok)
+
+
+def _scan_firsts(n: int, conditions: PermFilter) -> list[int | None]:
+    """The first letters whose blocks a serial scan visits, in order;
+    ``[None]`` scans all of S_n when no first letter is ruled out."""
+    firsts = _allowed_firsts(n, conditions)
+    return firsts if n >= 2 and len(firsts) < n else [None]
+
+
+def stream_perms(
+    n: int, conditions: Iterable[PermCondition] = (), allow_large: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """The rows of ``enumerate_perms(n, conditions)``, in the same
+    lexicographic order, from the vectorized scan: each block of S_n is
+    masked in numpy and only its survivors become tuples.  Blocks whose
+    first letter a first-letter condition rules out are never built.
+    """
+    _check_perm_size(n, allow_large)
+    conditions = tuple(conditions)
+    for first in _scan_firsts(n, conditions):
+        for arr in _filtered_blocks(n, first, conditions):
+            yield from map(tuple, arr.tolist())
 
 
 def _default_workers() -> int:
@@ -349,25 +384,24 @@ def count_perms(
         workers = _default_workers()  # read even when unused: a bad setting fails loudly
         if n < _PARALLEL_MIN_N:
             workers = 1
-    firsts = _allowed_firsts(n, conditions) if n >= 2 else None
-    if firsts is None:
-        firsts = list(range(1, n + 1))
+    firsts = _allowed_firsts(n, conditions)
     if workers <= 1 or n < 2 or len(firsts) <= 1:
-        if n >= 2 and len(firsts) < n:
-            return sum(_count_block(n, f, conditions) for f in firsts)
-        return _count_block(n, None, conditions)
+        return sum(_count_block(n, f, conditions) for f in _scan_firsts(n, conditions))
     k = len(firsts)
     try:
         with ProcessPoolExecutor(max_workers=min(workers, k)) as pool:
             parts = list(pool.map(_count_block, [n] * k, firsts, [conditions] * k))
     except OSError as e:
         print(f"permpaths: worker pool unavailable ({e}); counting serially", file=sys.stderr)
-        return sum(_count_block(n, f, conditions) for f in firsts)
+        return sum(_count_block(n, f, conditions) for f in _scan_firsts(n, conditions))
     return sum(parts)
 
 
 # ---------------------------------------------------------------------------
 # path enumeration
+
+
+_SUFFIX_STEPS = 12  # the last steps come from a table of at most 2**12 strings
 
 
 def enumerate_paths(
@@ -379,29 +413,56 @@ def enumerate_paths(
 ) -> Iterator[str]:
     """All paths with the given step counts whose running height stays in
     [lo, hi], in lexicographic order of the step string ('D' < 'U').
-    ``lo=None`` or ``hi=None`` leaves that side unbounded.
+    ``lo=None`` or ``hi=None`` leaves that side unbounded.  The start
+    height 0 is not tested, only the height after each step.
+
+    Steps that would leave the band are never taken, and there is no
+    recursion: prefixes grow on an explicit stack, and each full-length
+    prefix is followed by every in-band suffix of the last
+    ``_SUFFIX_STEPS`` steps from its height, read from a table built
+    bottom-up.  Memory is bounded by that table and the path length.
     """
-    if ups < 0 or downs < 0:
-        raise InvalidInputError("step counts must be >= 0")
+    _check_size(ups, "ups")
+    _check_size(downs, "downs")
     if (ups + downs) // 2 > MAX_DYCK_SEMILENGTH and not allow_large:
         raise ResourceLimitError(
             f"path length {ups + downs} over cap; pass allow_large to force"
         )
+    return _banded_paths(ups, downs, lo, hi)
 
-    def walk(prefix: list[str], u: int, d: int, h: int) -> Iterator[str]:
-        if u == 0 and d == 0:
-            yield "".join(prefix)
-            return
-        if d > 0 and (lo is None or h - 1 >= lo):
-            prefix.append("D")
-            yield from walk(prefix, u, d - 1, h - 1)
-            prefix.pop()
-        if u > 0 and (hi is None or h + 1 <= hi):
-            prefix.append("U")
-            yield from walk(prefix, u - 1, d, h + 1)
-            prefix.pop()
 
-    return walk([], ups, downs, 0)
+def _banded_paths(ups: int, downs: int, lo: int | None, hi: int | None) -> Iterator[str]:
+    def inside(h: int) -> bool:
+        return (lo is None or lo <= h) and (hi is None or h <= hi)
+
+    length, end = ups + downs, ups - downs
+    if length and not inside(end):
+        return  # no path ends in the band, so skip searching every prefix
+    tail = min(length, _SUFFIX_STEPS)
+    # suffixes[h]: the in-band step strings of the current suffix length
+    # from height h to ``end``, in lexicographic order
+    suffixes = {end: [""]}
+    for _ in range(tail):
+        after = {h: group for h, group in suffixes.items() if inside(h)}
+        suffixes = {
+            h: ["D" + s for s in after.get(h - 1, ())] + ["U" + s for s in after.get(h + 1, ())]
+            for h in {g + step for g in after for step in (-1, 1)}
+        }
+    head_len = length - tail
+    head = [""] * head_len
+    stack = [(0, 0, 0, "")]  # (steps taken, height, ups taken, last step)
+    while stack:
+        t, h, u, step = stack.pop()
+        if t:
+            head[t - 1] = step
+        if t == head_len:
+            yield from map("".join(head).__add__, suffixes.get(h, ()))
+            continue
+        # pushed U first so that D, the smaller step, comes out first
+        if u < ups and (hi is None or h < hi):
+            stack.append((t + 1, h + 1, u + 1, "U"))
+        if t - u < downs and (lo is None or h > lo):
+            stack.append((t + 1, h - 1, u, "D"))
 
 
 def enumerate_dyck(n: int, allow_large: bool = False) -> Iterator[str]:
@@ -410,8 +471,7 @@ def enumerate_dyck(n: int, allow_large: bool = False) -> Iterator[str]:
     >>> list(enumerate_dyck(2))
     ['UDUD', 'UUDD']
     """
-    if n < 0:
-        raise InvalidInputError("n must be >= 0")
+    _check_size(n)
     return enumerate_paths(n, n, lo=0, allow_large=allow_large)
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 from . import bijections as bij
 from . import formulas, oracle, series
 from . import paths as pathmod
-from .errors import InvalidInputError, VerificationError
+from .errors import InvalidInputError, ResourceLimitError, VerificationError
 from .oracle import (
     FirstEq,
     PatternCount,
@@ -38,6 +38,10 @@ from .permutations import avoids, complement, reverse
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "format_results"]
 
 SUITE_NAMES = ("formulas", "bijections", "identities", "series")
+
+# The arithmetic grids run up to max(nmax, default) and the triangle
+# checks grow as nmax**3: about 1.4 s at this cap, minutes past 1000.
+MAX_NMAX = 100
 
 
 @dataclasses.dataclass(frozen=True)
@@ -725,13 +729,18 @@ _CHECKS: dict[str, list[tuple[str, Callable[[int], str]]]] = {
 
 def run_suite(suite: str, nmax: int) -> list[CheckResult]:
     """Run one named suite (or "all") up to size nmax; never raises on a
-    failed check, only on an unknown suite or invalid nmax."""
+    failed check, only on an unknown suite, an invalid nmax, or nmax
+    over ``MAX_NMAX``."""
     if suite != "all" and suite not in _CHECKS:
         raise InvalidInputError(
             f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or all"
         )
+    if isinstance(nmax, bool):
+        raise InvalidInputError(f"nmax must be an integer, not {nmax!r}")
     if nmax < 1:
         raise InvalidInputError("nmax must be >= 1")
+    if nmax > MAX_NMAX:
+        raise ResourceLimitError(f"nmax {nmax} over cap {MAX_NMAX}")
     names = SUITE_NAMES if suite == "all" else (suite,)
     results = []
     for group in names:

@@ -4,6 +4,7 @@ Everything runs in-process through ``cli.main`` so exit codes and
 stdout/stderr splits are observable without spawning subprocesses.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -215,6 +216,62 @@ def test_enumerate_parse_error_positions(capsys):
     assert "position 19" in err
 
 
+# sha256 of stdout and the row count, recorded from the per-row predicates
+# the filters replaced; any change to row content or order fails here
+GOLDEN_ENUMERATE = [
+    (
+        ("--n", "7", "--filter", "pattern(3 2 1)==1"),
+        429, "b88c87dd395f1773ea724a221f826be10f6b5b6646bca58515dc92aace4ae857",
+    ),
+    (
+        ("--n", "6", "--filter", "pattern(1 3 2 4)==1 && first>=2"),
+        61, "8f962a0077b5e24d95bd47847ec387f5ed3c9d28b6cccb96220d21ad8e79f80e",
+    ),
+    (
+        ("--n", "6", "--filter", "first>=4"),
+        360, "7a0b321fe9094677028bf42e40825917a6cec73c4dce5e0decaefb305ee13133",
+    ),
+    (
+        ("--n", "6", "--filter", "last_inc(3) && pos_of_max<=4"),
+        60, "51526c4c2060a93ea8491a33e3c3609a3e33b4c753856d71c1f92a1487958934",
+    ),
+    (
+        ("--n", "7", "--filter-preset", "last2up", "--filter", "pattern(3 2 1)==2"),
+        371, "2f2b7aac997b79cd9d43e17b1fb017d7f78882848947657a7621ed9f365154d8",
+    ),
+    (
+        ("--n", "5"),
+        120, "2ac3a09c1eea6867dea9b4505180cb83d6c187f2b693a233a14304405d182256",
+    ),
+    (
+        ("--n", "0"),
+        1, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    ),
+    (
+        ("--kind", "dyck", "--n", "7"),
+        429, "eb691e5abfdff08b157834f69217375bc6a98f2d4d35a31743dcf6dab91572d9",
+    ),
+    (
+        ("--kind", "dyck", "--n", "8", "--filter", "height<=3"),
+        610, "c457c136131f8b9f12df45b589579adb95441d1aceadfcc883bfd8d54ff23d33",
+    ),
+    (
+        ("--kind", "dyck", "--n", "0", "--filter", "height<=0"),
+        1, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, rows, digest", GOLDEN_ENUMERATE, ids=[" ".join(a) for a, _, _ in GOLDEN_ENUMERATE]
+)
+def test_enumerate_golden_output(capsys, argv, rows, digest):
+    code, out, err = run(capsys, "enumerate", *argv)
+    assert code == 0
+    assert out.count("\n") == rows
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # -- table -------------------------------------------------------------------
 
 
@@ -279,6 +336,27 @@ def test_verify_reports_failures(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--suite", "series", "--nmax", "2")
     assert code == 5
     assert "[FAIL]" in out
+
+
+def test_verify_nmax_cap(capsys):
+    from permpaths import verify as verify_mod
+
+    code, out, err = run(
+        capsys, "verify", "--suite", "series", "--nmax", str(verify_mod.MAX_NMAX + 1)
+    )
+    assert code == 3
+    assert "resource limit" in err and out == ""
+
+
+def test_verify_rejects_bool_nmax(capsys, monkeypatch):
+    from permpaths import verify as verify_mod
+
+    real = verify_mod.run_suite
+    # argparse only yields ints, so hand run_suite the bool a caller could pass
+    monkeypatch.setattr(verify_mod, "run_suite", lambda suite, nmax: real(suite, nmax == 1))
+    code, out, err = run(capsys, "verify", "--suite", "series", "--nmax", "1")
+    assert code == 2
+    assert "nmax must be an integer" in err
 
 
 # -- output redirection ------------------------------------------------------

@@ -9,7 +9,7 @@ worker counts.
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permpaths.errors import InvalidInputError, ResourceLimitError
@@ -32,6 +32,7 @@ from permpaths.oracle import (
     marked_highpoint_histogram,
     matches,
     oracle_count,
+    stream_perms,
 )
 from permpaths.paths import binomial, catalan, is_dyck
 
@@ -213,6 +214,67 @@ def test_first_letter_pruning_matches_full_scan():
         assert count_perms(7, conds) == brute, conds
 
 
+# the condition kinds the CLI filter atoms compile to, with values past 1..n
+STREAM_CONDITIONS = [
+    *ALL_CONDITIONS,
+    PatternCount((1,), 5),
+    PatternCount((1, 3, 2, 4), 1),
+    PatternCount((2, 4, 1, 3), 0),
+    PatternCount((4, 3, 2, 1), 2),
+    FirstGe(0),
+    FirstGe(1),
+    FirstGe(7),
+    FirstGe(9),
+    FirstEq(0),
+    LastRunIncreasing(0),
+    LastRunIncreasing(1),
+    LastRunIncreasing(8),
+    MaxPosLe(0),
+    MaxPosLe(1),
+]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_stream_perms_equals_enumerate_perms_per_condition(n):
+    assert list(stream_perms(n)) == list(enumerate_perms(n))
+    for c in STREAM_CONDITIONS:
+        assert list(stream_perms(n, [c])) == list(enumerate_perms(n, [c])), c
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 7),
+    conds=st.lists(st.sampled_from(STREAM_CONDITIONS), min_size=2, max_size=4).map(tuple),
+)
+def test_stream_perms_equals_enumerate_perms_conjunctions(n, conds):
+    assert list(stream_perms(n, conds)) == list(enumerate_perms(n, conds))
+
+
+def test_stream_perms_across_small_blocks(monkeypatch):
+    import permpaths.oracle as oracle_mod
+
+    monkeypatch.setattr(oracle_mod, "_TABLE_MAX_M", 3)
+    monkeypatch.setattr(oracle_mod, "_CHUNK_ROWS", 4)
+    for conds in [(), (PatternCount((3, 2, 1), 1),), (FirstGe(3), LastRunIncreasing(2))]:
+        assert list(stream_perms(6, conds)) == list(enumerate_perms(6, conds)), conds
+
+
+def test_stream_perms_skips_ruled_out_first_letters(monkeypatch):
+    import permpaths.oracle as oracle_mod
+
+    built = []
+    real = oracle_mod._perm_blocks
+
+    def spy(n, first=None):
+        built.append(first)
+        return real(n, first)
+
+    monkeypatch.setattr(oracle_mod, "_perm_blocks", spy)
+    rows = list(stream_perms(6, [FirstGe(5), PatternCount((3, 2, 1), 1)]))
+    assert built == [5, 6]
+    assert rows == list(enumerate_perms(6, [FirstGe(5), PatternCount((3, 2, 1), 1)]))
+
+
 def test_perm_cap():
     with pytest.raises(ResourceLimitError):
         count_perms(12, ())
@@ -224,6 +286,10 @@ def test_perm_cap():
         count_perms(True, ())
     with pytest.raises(InvalidInputError):
         list(enumerate_perms(False))
+    with pytest.raises(ResourceLimitError):
+        list(stream_perms(12))
+    with pytest.raises(InvalidInputError):
+        list(stream_perms(True))
 
 
 def test_enumerate_dyck_counts_and_order():
@@ -245,6 +311,47 @@ def test_enumerate_paths_unconstrained_count():
 def test_enumerate_paths_rejects_negative():
     with pytest.raises(InvalidInputError):
         list(enumerate_paths(-1, 2))
+
+
+def test_path_enumerators_reject_bool_sizes():
+    with pytest.raises(InvalidInputError):
+        enumerate_dyck(True)
+    with pytest.raises(InvalidInputError):
+        enumerate_paths(True, 1)
+    with pytest.raises(InvalidInputError):
+        enumerate_paths(1, False)
+
+
+def test_enumerate_paths_equals_brute_force():
+    """Every step string of length <= 12, filtered by its step counts and
+    the heights after each step; the bands include ones that exclude the
+    start height and ones the end height cannot reach."""
+    for length in range(13):
+        words = []  # (word, ups, lowest and highest height after a step)
+        for steps in itertools.product("DU", repeat=length):
+            h, low, high = 0, None, None
+            for step in steps:
+                h += 1 if step == "U" else -1
+                low = h if low is None else min(low, h)
+                high = h if high is None else max(high, h)
+            words.append(("".join(steps), steps.count("U"), low, high))
+        for ups in range(length + 1):
+            for lo in (None, -2, -1, 0, 1):
+                for hi in (None, -1, 0, 1, 2, 3):
+                    want = [
+                        w for w, u, low, high in words
+                        if u == ups
+                        and (lo is None or low is None or low >= lo)
+                        and (hi is None or high is None or high <= hi)
+                    ]
+                    got = list(enumerate_paths(ups, length - ups, lo=lo, hi=hi))
+                    assert got == want, (ups, length - ups, lo, hi)
+
+
+def test_enumerate_paths_long_corridor():
+    # one path of 2,600 steps: no recursion depth grows with the length
+    got = list(enumerate_paths(1300, 1300, lo=0, hi=1, allow_large=True))
+    assert got == ["UD" * 1300]
 
 
 def test_marked_histogram_small():
