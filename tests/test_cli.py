@@ -324,6 +324,17 @@ def test_verify_series_suite(capsys):
     assert "0 failed" in out
 
 
+# sha256 of the whole report, recorded before the closed forms became data
+# rows and the avoider-class check moved onto the oracle's conditions
+VERIFY_ALL_NMAX7_SHA256 = "0ffa1ea5ffe867eb41da8ad51758a16999e6eeb1c1324f7565d7b2433f8cbb26"
+
+
+def test_verify_all_golden_output(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--nmax", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_NMAX7_SHA256
+
+
 def test_verify_reports_failures(capsys, monkeypatch):
     from permpaths import verify as verify_mod
 
