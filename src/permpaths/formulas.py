@@ -1,10 +1,18 @@
 """Closed-form counts for pattern-restricted permutation families.
 
-Each public family name maps to an exact integer formula built from
-ballot numbers, binomial coefficients and powers of two.  The zero
-conventions of :mod:`permpaths.paths` (vanishing binomials outside
-their range, vanishing ballot numbers at negative subscripts) make
-every formula total over n >= 1 with no small-n special cases.
+Each public family name maps to an exact integer formula, stored as
+data: a kind and a tuple of rows, whose terms are summed.
+
+* ``"ballot"`` row ``(c, k, s)``: c * ballot(k, n - s).
+* ``"pow2"`` row ``(c, a, j, e)``: c * binom(n + a, j) * 2**(n + e),
+  and 0 whenever the binomial is 0.
+* ``"central"`` row ``(c, a, b)``: c * binom(2n + a, n + b).
+
+The zero conventions of :mod:`permpaths.paths` (vanishing binomials
+outside their range, vanishing ballot numbers at negative subscripts)
+make every formula total over n >= 1 with no small-n special cases.
+A ``pow2`` row is accepted only if its power of 2 is whole at every
+n >= 1 where its binomial is nonzero; the rows are checked on import.
 
 The same family names key the exhaustive-search table in
 :mod:`permpaths.oracle`, and the verification suite insists the two
@@ -14,9 +22,8 @@ agree wherever the oracle can reach.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable
 
-from .errors import InvalidInputError, UnsupportedClassError
+from .errors import InvalidInputError, UnsupportedClassError, VerificationError
 from .paths import ballot, binomial
 
 __all__ = [
@@ -33,125 +40,65 @@ __all__ = [
     "count_avoider_class",
 ]
 
+Formula = tuple[str, tuple[tuple[int, ...], ...]]  # (kind, rows)
 
-def _pow2_term(coeff: int, top: int, choose: int, exponent: int) -> int:
-    """coeff * binom(top, choose) * 2**exponent, with the convention that
-    a vanishing binomial kills the whole term before the power is formed.
-    Whenever the binomial survives, the exponent is nonnegative."""
-    b = binomial(top, choose)
-    if b == 0:
-        return 0
-    assert exponent >= 0
-    return coeff * b * (1 << exponent)
-
-
-def _p132_1(n: int) -> int:
-    return binomial(2 * n - 3, n - 3)
-
-
-def _p321_1(n: int) -> int:
-    return ballot(6, n - 3)
-
-
-def _p321_2(n: int) -> int:
-    return 3 * ballot(8, n - 4) + ballot(11, n - 6)
-
-
-def _p321_3(n: int) -> int:
-    return 7 * ballot(10, n - 5) + 6 * ballot(13, n - 7) + ballot(16, n - 9)
-
-
-def _p321_4(n: int) -> int:
-    return (
-        13 * ballot(12, n - 6)
-        + 19 * ballot(15, n - 8)
-        + 9 * ballot(18, n - 10)
-        + ballot(21, n - 12)
-        + 4 * ballot(14, n - 7)
-        + 5 * ballot(10, n - 5)
-        + ballot(6, n - 4)
-        - 2 * ballot(8, n - 5)
-    )
-
-
-def _p321_1_last2up(n: int) -> int:
-    return 2 * ballot(6, n - 4) + ballot(9, n - 6)
-
-
-def _p321_2_last2up(n: int) -> int:
-    return (
-        4 * ballot(8, n - 5)
-        + 3 * ballot(11, n - 7)
-        + ballot(14, n - 9)
-        + 2 * ballot(10, n - 6)
-        + 2 * ballot(6, n - 4)
-        - ballot(4, n - 4)
-    )
-
-
-def _simion_schmidt(n: int) -> int:
-    return 1 << (n - 1)
-
-
-def _p123avoid132_1(n: int) -> int:
-    return _pow2_term(1, n - 2, 1, n - 3)
-
-
-def _p123avoid132_2(n: int) -> int:
-    return _pow2_term(1, n - 3, 1, n - 4) + _pow2_term(1, n - 3, 2, n - 5)
-
-
-def _p123avoid132_3(n: int) -> int:
-    return _p123avoid132_2(n) + _pow2_term(1, n - 4, 3, n - 7)
-
-
-def _p123avoid132_4(n: int) -> int:
-    return (
-        _pow2_term(2, n - 4, 1, n - 5)
-        + _pow2_term(3, n - 4, 2, n - 6)
-        + _pow2_term(1, n - 4, 3, n - 7)
-        + _pow2_term(1, n - 5, 3, n - 8)
-        + _pow2_term(1, n - 5, 4, n - 9)
-    )
-
-
-# Family name -> (formula, one-line description). The names double as the
-# stable strings accepted by the command-line interface.
-FORMULAS: dict[str, tuple[Callable[[int], int], str]] = {
-    "p132-1": (_p132_1, "exactly one 132: binom(2n-3, n-3)"),
-    "p321-1": (_p321_1, "exactly one 321: ballot(6, n-3)"),
-    "p321-2": (_p321_2, "exactly two 321s: 3*ballot(8, n-4) + ballot(11, n-6)"),
-    "p321-3": (
-        _p321_3,
-        "exactly three 321s: 7*ballot(10, n-5) + 6*ballot(13, n-7) + ballot(16, n-9)",
-    ),
+# The family names double as the stable strings accepted by the
+# command-line interface.
+FORMULAS: dict[str, Formula] = {
+    "p132-1": ("central", ((1, -3, -3),)),
+    "p321-1": ("ballot", ((1, 6, 3),)),
+    "p321-2": ("ballot", ((3, 8, 4), (1, 11, 6))),
+    "p321-3": ("ballot", ((7, 10, 5), (6, 13, 7), (1, 16, 9))),
     "p321-4": (
-        _p321_4,
-        "exactly four 321s: a signed combination of eight ballot terms",
+        "ballot",
+        (
+            (13, 12, 6), (19, 15, 8), (9, 18, 10), (1, 21, 12),
+            (4, 14, 7), (5, 10, 5), (1, 6, 4), (-2, 8, 5),
+        ),
     ),
-    "p321-1-last2up": (
-        _p321_1_last2up,
-        "one 321, last two letters increasing: 2*ballot(6, n-4) + ballot(9, n-6)",
-    ),
+    "p321-1-last2up": ("ballot", ((2, 6, 4), (1, 9, 6))),
     "p321-2-last2up": (
-        _p321_2_last2up,
-        "two 321s, last two letters increasing: six ballot terms",
+        "ballot",
+        ((4, 8, 5), (3, 11, 7), (1, 14, 9), (2, 10, 6), (2, 6, 4), (-1, 4, 4)),
     ),
-    "simion-schmidt": (_simion_schmidt, "avoiding both 123 and 132: 2^(n-1)"),
-    "p123avoid-132-1": (_p123avoid132_1, "123-avoiding with one 132: (n-2)*2^(n-3)"),
-    "p123avoid-132-2": (
-        _p123avoid132_2,
-        "123-avoiding with two 132s: binom(n-3,1)*2^(n-4) + binom(n-3,2)*2^(n-5)",
-    ),
-    "p123avoid-132-3": (
-        _p123avoid132_3,
-        "123-avoiding with three 132s: the two-occurrence form plus binom(n-4,3)*2^(n-7)",
-    ),
+    "simion-schmidt": ("pow2", ((1, 0, 0, -1),)),
+    "p123avoid-132-1": ("pow2", ((1, -2, 1, -3),)),
+    "p123avoid-132-2": ("pow2", ((1, -3, 1, -4), (1, -3, 2, -5))),
+    "p123avoid-132-3": ("pow2", ((1, -3, 1, -4), (1, -3, 2, -5), (1, -4, 3, -7))),
     "p123avoid-132-4": (
-        _p123avoid132_4,
-        "123-avoiding with four 132s: five binomial-times-power terms",
+        "pow2",
+        ((2, -4, 1, -5), (3, -4, 2, -6), (1, -4, 3, -7), (1, -5, 3, -8), (1, -5, 4, -9)),
     ),
 }
+
+
+def _check_rows(table: dict[str, Formula]) -> None:
+    """Raise VerificationError if a ``pow2`` row could form a negative
+    power of 2 where its binomial is nonzero: binom(n + a, j) first
+    becomes nonzero at n = max(1, j - a)."""
+    for family, (kind, rows) in table.items():
+        if kind != "pow2":
+            continue
+        for c, a, j, e in rows:
+            if max(1, j - a) + e < 0:
+                raise VerificationError(
+                    f"{family}: pow2 row {(c, a, j, e)} has a negative exponent"
+                )
+
+
+_check_rows(FORMULAS)
+
+
+def _term(kind: str, row: tuple[int, ...], n: int) -> int:
+    if kind == "ballot":
+        c, k, s = row
+        return c * ballot(k, n - s)
+    if kind == "central":
+        c, a, b = row
+        return c * binomial(2 * n + a, n + b)
+    c, a, j, e = row
+    b = binomial(n + a, j)
+    return (c * b) << (n + e) if b else 0
 
 
 def count(family: str, n: int) -> int:
@@ -172,7 +119,8 @@ def count(family: str, n: int) -> int:
         )
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidInputError(f"n must be a positive integer: {n!r}")
-    return FORMULAS[family][0](n)
+    kind, rows = FORMULAS[family]
+    return sum(_term(kind, row, n) for row in rows)
 
 
 # ---------------------------------------------------------------------------

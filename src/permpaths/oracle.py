@@ -167,27 +167,6 @@ class LastRunIncreasing:
 
 
 @dataclasses.dataclass(frozen=True)
-class LastRunDecreasing:
-    length: int
-
-    def holds(self, word: Sequence[int]) -> bool:
-        i = self.length
-        if len(word) < i:
-            return False
-        tail = word[len(word) - i :]
-        return all(tail[t] > tail[t + 1] for t in range(i - 1))
-
-    def mask(self, arr: np.ndarray) -> np.ndarray:
-        n = arr.shape[1]
-        if n < self.length:
-            return np.zeros(arr.shape[0], dtype=bool)
-        m = np.ones(arr.shape[0], dtype=bool)
-        for t in range(n - self.length, n - 1):
-            m &= arr[:, t] > arr[:, t + 1]
-        return m
-
-
-@dataclasses.dataclass(frozen=True)
 class OnePosGe:
     """The letter 1 sits at 1-based position >= ``position``."""
 
@@ -218,8 +197,7 @@ class MaxPosLe:
 
 
 PermCondition = (
-    PatternCount | FirstEq | FirstGe | LastLe | LastRunIncreasing | LastRunDecreasing
-    | OnePosGe | MaxPosLe
+    PatternCount | FirstEq | FirstGe | LastLe | LastRunIncreasing | OnePosGe | MaxPosLe
 )
 
 PermFilter = tuple[PermCondition, ...]

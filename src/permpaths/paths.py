@@ -205,17 +205,6 @@ def catalan(n: int) -> int:
     return ballot(1, n)
 
 
-def count_first_quadrant(ups: int, downs: int) -> int:
-    """Number of first-quadrant paths with the given step counts.
-
-    >>> count_first_quadrant(3, 2)
-    5
-    """
-    if downs < 0 or ups < downs:
-        return 0
-    return ballot(ups - downs + 1, downs)
-
-
 # ---------------------------------------------------------------------------
 # closed-form counts of constrained Dyck path classes
 

@@ -20,12 +20,19 @@ import dataclasses
 import functools
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from . import bijections as bij
 from . import formulas, oracle, series
 from . import paths as pathmod
 from .errors import InvalidInputError, ResourceLimitError, VerificationError
 from .oracle import (
     FirstEq,
+    FirstGe,
+    LastLe,
+    LastRunIncreasing,
+    MaxPosLe,
+    OnePosGe,
     PatternCount,
     _perm_blocks,
     count_perms,
@@ -141,56 +148,32 @@ def _check_first_letter_six(nmax: int) -> str:
     return f"one-321 count = avoiders of [n+3] starting 6, for n <= {top}"
 
 
+def _avoider_class_pairs(n: int):
+    """Each ``formulas`` constraint at size n, with the oracle conditions
+    that define it."""
+    yield from ((formulas.FirstEntryEq(k), (FirstEq(k),)) for k in range(1, n + 1))
+    yield from ((formulas.FirstEntryGe(k), (FirstGe(k),)) for k in range(0, n + 1))
+    for m in range(1, n + 1):
+        yield formulas.OneNotBeforePos(m), (OnePosGe(m),)
+        yield formulas.MaxNotAfterPosFromEnd(m), (MaxPosLe(n + 1 - m),)
+    yield from ((formulas.LastEntryLe(v), (LastLe(v),)) for v in range(1, n + 1))
+    yield from ((formulas.LastIIncreasing(i), (LastRunIncreasing(i),)) for i in range(1, n + 1))
+    yield formulas.FirstGe2AndLastLeNminus1(), (FirstGe(2), LastLe(n - 1))
+
+
 def _check_avoider_classes(nmax: int) -> str:
     top = min(nmax, 8)
     checked = 0
     for n in range(1, top + 1):
-        av = _avoiders(n, (3, 2, 1))
-
-        def scan(pred) -> int:
-            return sum(1 for p in av if pred(p))
-
-        for k in range(1, n + 1):
+        av = np.array(_avoiders(n, (3, 2, 1)), dtype=np.int8)
+        for constraint, conditions in _avoider_class_pairs(n):
+            scan = np.logical_and.reduce([c.mask(av) for c in conditions])
             _eq(
-                formulas.count_avoider_class(n, formulas.FirstEntryEq(k)),
-                scan(lambda p: p[0] == k),
-                f"FirstEntryEq({k}) at n={n}",
+                formulas.count_avoider_class(n, constraint),
+                int(scan.sum()),
+                f"{constraint} at n={n}",
             )
-        for k in range(0, n + 1):
-            _eq(
-                formulas.count_avoider_class(n, formulas.FirstEntryGe(k)),
-                scan(lambda p: p[0] >= k),
-                f"FirstEntryGe({k}) at n={n}",
-            )
-        for m in range(1, n + 1):
-            _eq(
-                formulas.count_avoider_class(n, formulas.OneNotBeforePos(m)),
-                scan(lambda p: p.index(1) + 1 >= m),
-                f"OneNotBeforePos({m}) at n={n}",
-            )
-            _eq(
-                formulas.count_avoider_class(n, formulas.MaxNotAfterPosFromEnd(m)),
-                scan(lambda p: n - p.index(n) >= m),
-                f"MaxNotAfterPosFromEnd({m}) at n={n}",
-            )
-        for v in range(1, n + 1):
-            _eq(
-                formulas.count_avoider_class(n, formulas.LastEntryLe(v)),
-                scan(lambda p: p[-1] <= v),
-                f"LastEntryLe({v}) at n={n}",
-            )
-        for i in range(1, n + 1):
-            _eq(
-                formulas.count_avoider_class(n, formulas.LastIIncreasing(i)),
-                scan(lambda p: all(p[j] < p[j + 1] for j in range(n - i, n - 1))),
-                f"LastIIncreasing({i}) at n={n}",
-            )
-        _eq(
-            formulas.count_avoider_class(n, formulas.FirstGe2AndLastLeNminus1()),
-            scan(lambda p: p[0] >= 2 and p[-1] <= n - 1),
-            f"FirstGe2AndLastLeNminus1 at n={n}",
-        )
-        checked += 6 * n + 2
+            checked += 1
     return f"{checked} constrained-class counts match scans for n <= {top}"
 
 
@@ -289,11 +272,10 @@ def _check_rotate_bijection(nmax: int) -> str:
     top = min(nmax, 8)
     for n in range(2, top + 1):
         av = _avoiders(n, (3, 2, 1))
+        rows = np.array(av, dtype=np.int8)
         for i in range(1, n):
-            domain = [
-                p for p in av if all(p[j] < p[j + 1] for j in range(n - i, n - 1))
-            ]
-            codomain = {p for p in av if p.index(n) + 1 <= n - i + 1}
+            domain = [av[r] for r in np.flatnonzero(LastRunIncreasing(i).mask(rows))]
+            codomain = {av[r] for r in np.flatnonzero(MaxPosLe(n - i + 1).mask(rows))}
             images = []
             for p in domain:
                 q = bij.tail_rotate(p, i)

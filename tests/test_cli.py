@@ -324,8 +324,8 @@ def test_verify_series_suite(capsys):
     assert "0 failed" in out
 
 
-# sha256 of the whole report, recorded before the closed forms became data
-# rows and the avoider-class check moved onto the oracle's conditions
+# sha256 of the whole report: a refactor of the checks must leave every
+# check name and detail line as it is
 VERIFY_ALL_NMAX7_SHA256 = "0ffa1ea5ffe867eb41da8ad51758a16999e6eeb1c1324f7565d7b2433f8cbb26"
 
 

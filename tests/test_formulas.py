@@ -7,12 +7,14 @@ anything heavy.
 """
 
 import hashlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permpaths.errors import InvalidInputError, UnsupportedClassError
+from permpaths.errors import InvalidInputError, UnsupportedClassError, VerificationError
 from permpaths.formulas import (
     FORMULAS,
     FirstEntryEq,
@@ -22,10 +24,11 @@ from permpaths.formulas import (
     LastIIncreasing,
     MaxNotAfterPosFromEnd,
     OneNotBeforePos,
+    _check_rows,
     count,
     count_avoider_class,
 )
-from permpaths.oracle import FAMILY_CONDITIONS, count_perms
+from permpaths.oracle import FAMILY_CONDITIONS, PatternCount, count_perms
 from permpaths.paths import ballot, binomial, catalan
 
 # values for n = 1 .. 10
@@ -61,14 +64,83 @@ def test_family_matches_oracle_small(family):
         assert count(family, n) == count_perms(n, FAMILY_CONDITIONS[family])
 
 
-# sha256 of "family n count" lines for every family and 1 <= n <= 300,
-# recorded from the hand-written formulas before they became data rows
+# sha256 of "family n count" lines for every family and 1 <= n <= 300: it
+# pins the terms the oracle sizes (n <= 10) cannot see
 COUNTS_TO_300_SHA256 = "bd440fa40761154f50422a8e01d09bd440ef3b7e2e2c4fa0bc73d46d6dcac613"
 
 
 def test_counts_to_300_golden():
     text = "".join(f"{f} {n} {count(f, n)}\n" for f in sorted(FORMULAS) for n in range(1, 301))
     assert hashlib.sha256(text.encode()).hexdigest() == COUNTS_TO_300_SHA256
+
+
+# Single-field mutants no check at n <= 10 can kill, as (family, row index,
+# field index, edit). Row 3 of p321-4, ballot(21, n - 12), is zero for
+# n < 12. Row 2, 9 * ballot(18, n - 10), is nonzero at no n < 10, and at
+# n = 10 it is 9 * ballot(k, 0) = 9 for every k. For simion-schmidt, binom(n + a, 0) = 1 for
+# a = -1, 0, 1, so those two edits give the same formula.
+SURVIVING_MUTANTS = {
+    *(("p321-4", 3, field, edit) for field in range(3) for edit in (-1, 1)),
+    ("p321-4", 2, 1, -1),
+    ("p321-4", 2, 1, 1),
+    ("simion-schmidt", 0, 1, -1),
+    ("simion-schmidt", 0, 1, 1),
+}
+
+
+def test_row_mutants_against_frozen(monkeypatch):
+    """Every +-1 edit of one field of one row either breaks the row rule
+    or changes some value at n <= 10, except the known survivors."""
+    survivors, rejected = set(), 0
+    for family, (kind, rows) in FORMULAS.items():
+        for r, row in enumerate(rows):
+            for field in range(len(row)):
+                for edit in (-1, 1):
+                    bad = row[:field] + (row[field] + edit,) + row[field + 1 :]
+                    mutant = (kind, rows[:r] + (bad,) + rows[r + 1 :])
+                    try:
+                        _check_rows({family: mutant})
+                    except VerificationError:
+                        rejected += 1
+                        continue
+                    monkeypatch.setitem(FORMULAS, family, mutant)
+                    if [count(family, n) for n in range(1, 11)] == FROZEN[family]:
+                        survivors.add((family, r, field, edit))
+    assert survivors == SURVIVING_MUTANTS
+    assert rejected == 34
+
+
+def test_row_rule_rejects_negative_exponent():
+    """binom(n - 2, 1) is first nonzero at n = 3, where 2**(n - 4) is not
+    whole."""
+    with pytest.raises(VerificationError, match="negative exponent"):
+        _check_rows({"bad": ("pow2", ((1, -3, 1, -3), (1, -2, 1, -4)))})
+    _check_rows({"good": ("pow2", ((1, -2, 1, -3),))})
+
+
+def test_formulas_tests_under_python_O():
+    """The row rule and every check here hold with asserts stripped."""
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         __file__, "-k", "not under_python_O"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_noonan_one_123_form():
+    """Noonan: 3/n * binom(2n, n + 3) permutations of [n] have exactly
+    one 123, and so, by reversal, exactly one 321."""
+    for n in range(3, 301):
+        assert 3 * binomial(2 * n, n + 3) == n * count("p321-1", n)
+
+
+def test_exactly_k_123s_are_the_p321_families():
+    """Reversal swaps 123 and 321, so exactly k 123s are counted by
+    p321-k (the abstract's ballot-number claim for k <= 4)."""
+    for k in range(1, 5):
+        for n in range(1, 9):
+            assert count_perms(n, (PatternCount((1, 2, 3), k),)) == count(f"p321-{k}", n)
 
 
 def test_spot_values():

@@ -19,7 +19,6 @@ from permpaths.oracle import (
     FirstEq,
     FirstGe,
     LastLe,
-    LastRunDecreasing,
     LastRunIncreasing,
     MaxPosLe,
     OnePosGe,
@@ -44,7 +43,6 @@ ALL_CONDITIONS = [
     FirstGe(3),
     LastLe(2),
     LastRunIncreasing(2),
-    LastRunDecreasing(3),
     OnePosGe(2),
     MaxPosLe(3),
 ]
@@ -79,9 +77,6 @@ def test_conditions_against_definitions():
         if isinstance(c, LastRunIncreasing):
             i = c.length
             return n >= i and all(p[j] < p[j + 1] for j in range(n - i, n - 1))
-        if isinstance(c, LastRunDecreasing):
-            i = c.length
-            return n >= i and all(p[j] > p[j + 1] for j in range(n - i, n - 1))
         if isinstance(c, OnePosGe):
             return p.index(1) + 1 >= c.position
         if isinstance(c, MaxPosLe):

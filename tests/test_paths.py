@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permpaths.errors import InvalidInputError, UnsupportedClassError
-from permpaths.oracle import count_dyck_class_oracle, enumerate_dyck
+from permpaths.oracle import count_dyck_class_oracle, enumerate_dyck, enumerate_paths
 from permpaths.paths import (
     FirstAscentEq,
     FirstAscentGe,
@@ -17,7 +17,6 @@ from permpaths.paths import (
     binomial,
     catalan,
     count_dyck_class,
-    count_first_quadrant,
     count_lastascents_F,
     count_lastascents_G,
     dyck_path_from_runs,
@@ -120,7 +119,7 @@ def test_ballot_counts_first_quadrant_paths():
     """ballot(k, n) counts first-quadrant paths with n+k-1 ups, n downs."""
     for k in range(1, 5):
         for n in range(5):
-            assert ballot(k, n) == count_first_quadrant(n + k - 1, n)
+            assert ballot(k, n) == sum(1 for _ in enumerate_paths(n + k - 1, n, lo=0))
 
 
 @given(k=st.integers(1, 20), n=st.integers(0, 40))
