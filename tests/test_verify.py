@@ -1,9 +1,12 @@
-"""Tests for the enumeration helpers behind the verification suites."""
+"""Tests for the enumeration helpers behind the verification suites, and
+mutants showing that each bijection check can fail."""
 
 import itertools
 
 import pytest
 
+from permpaths import bijections, verify
+from permpaths.errors import DomainError, VerificationError
 from permpaths.permutations import count_occurrences
 from permpaths.verify import _pattern_census
 
@@ -18,3 +21,83 @@ def test_pattern_census_equals_count_occurrences_grouping(pattern):
             if c <= kmax:
                 want[c].append(p)
         assert _pattern_census(n, pattern, kmax) == tuple(map(tuple, want)), n
+
+
+# -- bijection mutants --------------------------------------------------------
+
+# Each bijection the bijections suite checks: the check, then the names of
+# the forward map and its inverse in permpaths.bijections.
+BIJECTION_PAIRS = {
+    "records": (verify._check_records_bijection, "records_to_dyck", "dyck_to_records"),
+    "returns": (verify._check_returns_bijection, "delete_returns", "insert_returns"),
+    "transfer": (verify._check_transfer_bijection, "transfer_upsteps", "transfer_upsteps_inverse"),
+    "rotation": (verify._check_rotate_bijection, "tail_rotate", "tail_rotate_inverse"),
+    "adjacent-132": (verify._check_adjacent_132, "split_adjacent_132", "join_adjacent_132"),
+    "boundary-132": (verify._check_boundary_132, "split_boundary_132", "join_boundary_132"),
+    "one-132": (verify._check_one132_decomposition, "split_one132", "join_one132"),
+    "one-321": (verify._check_one321_decomposition, "split_one321", "join_one321"),
+    "two-321-shared": (verify._check_two321_decompositions, "split_two321_shared", "join_two321_shared"),
+    "two-321-distinct": (verify._check_two321_decompositions, "split_two321_distinct", "join_two321_distinct"),
+}
+
+# Every codomain path of the upstep transfer has first ascent >= 2, so it
+# starts UU and the swap fixes it: neither mutant changes a single value
+# the check sees.
+SURVIVING_MUTANTS = {("transfer", "forward-only"), ("transfer", "conjugated")}
+
+# The returns check sweeps the inverse over its codomain before it compares
+# images, and the swapped path there leaves the first quadrant.
+SWEPT_BEFORE_IMAGE = {"returns"}
+
+
+def _swap(w):
+    """w with its first two letters or steps exchanged."""
+    return w[1::-1] + w[2:]
+
+
+def _swap_output(y):
+    """``_swap`` on a map's output, or on rho when the output is a pair."""
+    if isinstance(y, tuple) and y and isinstance(y[0], tuple):
+        return (_swap(y[0]),) + y[1:]
+    return _swap(y)
+
+
+class _Mutated:
+    """permpaths.bijections with some maps replaced; the module itself is
+    untouched, so the maps that call each other inside it stay intact."""
+
+    def __init__(self, **maps):
+        self.__dict__.update(maps)
+
+    def __getattr__(self, name):
+        return getattr(bijections, name)
+
+
+def _mutant(kind, forward, inverse):
+    """The replaced maps: the forward map followed by the swap, and for
+    the conjugated mutant the inverse preceded by it, which keeps every
+    round trip intact."""
+    f, g = getattr(bijections, forward), getattr(bijections, inverse)
+    maps = {forward: lambda *args: _swap_output(f(*args))}
+    if kind == "conjugated":
+        maps[inverse] = lambda first, *rest: g(_swap(first), *rest)
+    return _Mutated(**maps)
+
+
+@pytest.mark.parametrize("kind", ["forward-only", "conjugated"])
+@pytest.mark.parametrize("pair", sorted(BIJECTION_PAIRS))
+def test_bijection_mutant_fails_its_check(pair, kind, monkeypatch):
+    """A forward map that is not the inverse's mate must fail the check;
+    a conjugated one passes every round trip, so it must fail the image
+    comparison."""
+    check, forward, inverse = BIJECTION_PAIRS[pair]
+    monkeypatch.setattr(verify, "bij", _mutant(kind, forward, inverse))
+    if (pair, kind) in SURVIVING_MUTANTS:
+        check(6)
+    else:
+        expected = VerificationError if kind == "conjugated" else Exception
+        if kind == "conjugated" and pair in SWEPT_BEFORE_IMAGE:
+            expected = (VerificationError, DomainError)
+        with pytest.raises(expected):
+            check(6)
+
