@@ -24,7 +24,9 @@ predicates are the plain-Python reference; tests cross-check the two.
 
 Paths are generated without recursion, pruned at the height band
 rather than filtered after the fact: prefixes grow on an explicit
-stack and end in suffixes read from a small per-height table.
+stack and end in suffixes read from a small per-height table.  A Dyck
+class is tested by ``in_dyck_class`` on a path's ``paths.path_stats``,
+so a caller that keeps each path's statistics can test many classes.
 
 Sizes are capped because the state spaces explode; pass
 ``allow_large=True`` to override a cap deliberately.
@@ -457,47 +459,43 @@ def count_dyck_class_oracle(
     n: int, constraint: pathmod.DyckClassConstraint, allow_large: bool = False
 ) -> int:
     """Count a constrained Dyck class by filtering the full enumeration."""
-    pred = dyck_class_predicate(constraint)
-    return sum(1 for p in enumerate_dyck(n, allow_large=allow_large) if pred(p))
+    stats = map(pathmod.path_stats, enumerate_dyck(n, allow_large=allow_large))
+    return sum(in_dyck_class(st, constraint) for st in stats)
 
 
-def dyck_class_predicate(constraint: pathmod.DyckClassConstraint):
-    """The membership test a Dyck path must pass for ``constraint``.
+def in_dyck_class(st: pathmod.PathStats, constraint: pathmod.DyckClassConstraint) -> bool:
+    """Whether a Dyck path with statistics ``st`` (from
+    ``paths.path_stats``) lies in the class ``constraint`` names.
 
     This is the definitional counterpart of ``paths.count_dyck_class``;
     the two are checked against each other in the verification suite.
     """
-
-    def pred(path: str) -> bool:
-        st = pathmod.path_stats(path)
-        match constraint:
-            case pathmod.FirstAscentEq(k=k):
-                return st.first_ascent == k
-            case pathmod.FirstAscentGe(k=k):
-                return st.first_ascent >= k
-            case pathmod.FirstAscentLastDescent(r=r, s=s, require_interior_return=req):
-                return (
-                    st.first_ascent >= r
-                    and st.last_descent >= s
-                    and (st.interior_returns >= 1 or not req)
-                )
-            case pathmod.FirstAscentNonfinalDescentsOne(r=r, s=s):
-                nonfinal = st.descents[:-1]
-                return (
-                    st.first_ascent >= r
-                    and len(nonfinal) >= s
-                    and all(d == 1 for d in nonfinal[:s])
-                )
-            case pathmod.FirstAscentLastAscentsOne(r=r, s=s):
-                noninitial = st.ascents[1:]
-                return (
-                    st.first_ascent >= r
-                    and len(noninitial) >= s - 1
-                    and all(a == 1 for a in noninitial[len(noninitial) - (s - 1) :])
-                )
-        raise InvalidInputError(f"unknown constraint {constraint!r}")
-
-    return pred
+    match constraint:
+        case pathmod.FirstAscentEq(k=k):
+            return st.first_ascent == k
+        case pathmod.FirstAscentGe(k=k):
+            return st.first_ascent >= k
+        case pathmod.FirstAscentLastDescent(r=r, s=s, require_interior_return=req):
+            return (
+                st.first_ascent >= r
+                and st.last_descent >= s
+                and (st.interior_returns >= 1 or not req)
+            )
+        case pathmod.FirstAscentNonfinalDescentsOne(r=r, s=s):
+            nonfinal = st.descents[:-1]
+            return (
+                st.first_ascent >= r
+                and len(nonfinal) >= s
+                and all(d == 1 for d in nonfinal[:s])
+            )
+        case pathmod.FirstAscentLastAscentsOne(r=r, s=s):
+            noninitial = st.ascents[1:]
+            return (
+                st.first_ascent >= r
+                and len(noninitial) >= s - 1
+                and all(a == 1 for a in noninitial[len(noninitial) - (s - 1) :])
+            )
+    raise InvalidInputError(f"unknown constraint {constraint!r}")
 
 
 # ---------------------------------------------------------------------------

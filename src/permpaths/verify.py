@@ -7,6 +7,13 @@ grid.  Checks are grouped into suites ("formulas", "bijections",
 "identities", "series"); "all" runs every suite.  The command-line
 ``verify`` subcommand and the acceptance tests both drive this module.
 
+A bijection check is a domain, a forward map, its inverse and a
+codomain, run through one helper, ``_matched_pair``: every element
+round-trips and the images are exactly the codomain.  Its classes are
+picked by the oracle's own conditions, the permutation conditions'
+``mask`` (``_where``) and ``oracle.in_dyck_class`` on the cached
+statistics of each Dyck path, never by comparisons spelled again here.
+
 ``nmax`` scales the work: enumeration sweeps run up to
 ``min(nmax, cap)`` where the cap keeps state spaces finite, and pure
 arithmetic grids run up to ``max(nmax, default)`` so their standard
@@ -18,6 +25,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -38,9 +47,10 @@ from .oracle import (
     count_perms,
     enumerate_dyck,
     enumerate_paths,
+    in_dyck_class,
 )
 from .paths import ballot, ballot_quotient_form, binomial, catalan, path_stats
-from .permutations import avoids, complement, reverse
+from .permutations import complement, occurrences, reverse
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "format_results"]
 
@@ -95,6 +105,36 @@ def _dyck_list(n: int) -> tuple[str, ...]:
     return tuple(enumerate_dyck(n))
 
 
+@functools.lru_cache(maxsize=None)
+def _dyck_stats(n: int) -> tuple[pathmod.PathStats, ...]:
+    """``path_stats`` of each path of ``_dyck_list(n)``, in the same order."""
+    return tuple(map(path_stats, _dyck_list(n)))
+
+
+def _where(words: Sequence[tuple[int, ...]], *conditions) -> list[tuple[int, ...]]:
+    """The words (a nonempty list, all of one length) passing every
+    oracle condition's ``mask``, in order."""
+    rows = np.array(words, dtype=np.int8)
+    keep = np.logical_and.reduce([c.mask(rows) for c in conditions])
+    return [words[r] for r in np.flatnonzero(keep)]
+
+
+def _matched_pair(
+    what: str, domain: Iterable, forward: Callable, inverse: Callable, codomain: Iterable
+) -> list:
+    """Check that ``inverse`` undoes ``forward`` on every element of
+    ``domain`` and that the images are exactly ``codomain`` (a list with
+    no repeats, in any order), which makes ``forward`` a bijection onto
+    it.  Returns the images in domain order."""
+    images = []
+    for x in domain:
+        y = forward(x)
+        _eq(inverse(y), x, f"{what} round-trip at {x!r}")
+        images.append(y)
+    _eq(sorted(images), sorted(codomain), f"{what} image")
+    return images
+
+
 # ---------------------------------------------------------------------------
 # formulas suite
 
@@ -116,8 +156,6 @@ def _check_recombination(nmax: int) -> str:
 
 
 def _check_totals_sanity(nmax: int) -> str:
-    import math
-
     top = min(nmax, 10)
     for n in range(1, top + 1):
         parts = [catalan(n)] + [formulas.count(f"p321-{k}", n) for k in range(1, 5)]
@@ -185,17 +223,12 @@ def _check_records_bijection(nmax: int) -> str:
     top = min(nmax, 9)
     for n in range(1, top + 1):
         av = _avoiders(n, (3, 2, 1))
-        images = []
-        for p in av:
-            d = bij.records_to_dyck(p)
-            _eq(bij.dyck_to_records(d), p, f"records round-trip at {p}")
+        images = _matched_pair(f"records n={n}", av, bij.records_to_dyck, bij.dyck_to_records,
+                               _dyck_list(n))
+        for p, d in zip(av, images):
             st = path_stats(d)
             _eq(st.first_ascent, p[0], f"first ascent vs first letter at {p}")
             _eq(st.last_descent, n - p.index(n), f"last descent vs position of max at {p}")
-            images.append(d)
-        if len(set(images)) != len(images):
-            _fail(f"records map not injective at n={n}")
-        _eq(sorted(images), sorted(_dyck_list(n)), f"records image at n={n}")
     return f"avoiders <-> Dyck paths with matched statistics, n <= {top}"
 
 
@@ -208,29 +241,20 @@ def _check_returns_bijection(nmax: int) -> str:
             for u in range(length // 2, length + 1)
             for q in enumerate_paths(u, length - u, lo=0)
         ]
-    # forward: every nonempty first-quadrant path starting U deletes and
-    # reinserts to itself
-    seen: set[tuple[str, int]] = set()
-    for length in range(1, cap + 1):
-        for r in by_len[length]:
-            if not r.startswith("U"):
-                continue
-            q = bij.delete_returns(r)
-            j = path_stats(r).returns
-            _eq(bij.insert_returns(q, j), r, f"returns round-trip at {r!r}")
-            seen.add((q, j))
-    # backward: every (path, level) pair in range is hit exactly once
-    expected: set[tuple[str, int]] = set()
-    for length in range(0, cap):
-        for q in by_len[length]:
-            st = path_stats(q)
-            for j in range(0, st.ups - st.downs + 2):
-                if length + 1 + j <= cap:
-                    expected.add((q, j))
-    for q, j in expected:
+    # forward: every nonempty first-quadrant path starting U; backward:
+    # every (path, level) pair whose insertion stays within the cap
+    domain = [r for length in range(1, cap + 1) for r in by_len[length] if r.startswith("U")]
+    codomain = [
+        (q, j)
+        for length in range(0, cap)
+        for q in by_len[length]
+        for j in range(min(q.count("U") - q.count("D") + 2, cap - length))
+    ]
+    _matched_pair("returns", domain, lambda r: (bij.delete_returns(r), path_stats(r).returns),
+                  lambda qj: bij.insert_returns(*qj), codomain)
+    for q, j in codomain:
         r = bij.insert_returns(q, j)
         _eq(bij.delete_returns(r), q, f"insertion inverse at {(q, j)}")
-    _eq(sorted(seen), sorted(expected), "returns (path, level) coverage")
     return f"deletion <-> insertion over all paths with <= {cap} steps"
 
 
@@ -238,30 +262,23 @@ def _check_transfer_bijection(nmax: int) -> str:
     top = min(nmax, 10)
     imax = 3
     for n in range(1, top + 1):
-        dycks = _dyck_list(n)
-        stats = {d: path_stats(d) for d in dycks}
+        paths = list(zip(_dyck_list(n), _dyck_stats(n)))
         for i in range(1, imax + 1):
-            domain = []
-            for d in dycks:
-                st = stats[d]
-                nonfinal = st.descents[:-1]
-                if len(nonfinal) < i or any(v != 1 for v in nonfinal[:i]):
-                    continue
-                if len(st.descents) == i + 1 and st.ascents[-1] == 1:
-                    continue
-                domain.append(d)
-            images = []
-            for d in domain:
-                e = bij.transfer_upsteps(d, i)
-                _eq(bij.transfer_upsteps_inverse(e, i), d, f"transfer round-trip {d!r} i={i}")
-                images.append(e)
+            # i early downsteps of length 1, less the shape with no headroom
+            domain = [
+                d
+                for d, st in paths
+                if in_dyck_class(st, pathmod.FirstAscentNonfinalDescentsOne(1, i))
+                and not (len(st.descents) == i + 1 and st.ascents[-1] == 1)
+            ]
             codomain = [
                 d
-                for d in dycks
-                if stats[d].first_ascent >= i + 1
-                and stats[d].downs - stats[d].last_descent >= i
+                for d, st in paths
+                if in_dyck_class(st, pathmod.FirstAscentGe(i + 1))
+                and st.downs - st.last_descent >= i
             ]
-            _eq(sorted(images), sorted(codomain), f"transfer image n={n} i={i}")
+            _matched_pair(f"transfer n={n} i={i}", domain, lambda d: bij.transfer_upsteps(d, i),
+                          lambda e: bij.transfer_upsteps_inverse(e, i), codomain)
             for e in codomain:
                 _eq(bij.transfer_upsteps(bij.transfer_upsteps_inverse(e, i), i), e,
                     f"transfer inverse round-trip {e!r} i={i}")
@@ -272,125 +289,77 @@ def _check_rotate_bijection(nmax: int) -> str:
     top = min(nmax, 8)
     for n in range(2, top + 1):
         av = _avoiders(n, (3, 2, 1))
-        rows = np.array(av, dtype=np.int8)
         for i in range(1, n):
-            domain = [av[r] for r in np.flatnonzero(LastRunIncreasing(i).mask(rows))]
-            codomain = {av[r] for r in np.flatnonzero(MaxPosLe(n - i + 1).mask(rows))}
-            images = []
-            for p in domain:
-                q = bij.tail_rotate(p, i)
-                _eq(bij.tail_rotate_inverse(q, i), p, f"rotation round-trip {p} i={i}")
-                images.append(q)
-            if set(images) != codomain or len(set(images)) != len(images):
-                _fail(f"rotation image mismatch at n={n}, i={i}")
+            _matched_pair(f"rotation n={n} i={i}", _where(av, LastRunIncreasing(i)),
+                          lambda p: bij.tail_rotate(p, i), lambda q: bij.tail_rotate_inverse(q, i),
+                          _where(av, MaxPosLe(n - i + 1)))
     return f"tail rotation matches increasing-tail and max-position classes, n <= {top}"
 
 
-def _adjacent_class(m: int) -> list[tuple[int, ...]]:
-    out = []
-    for p in _pattern_census(m, (1, 3, 2), 1)[1]:
-        occ = next(iter(_occ132(p)))
-        i1, i2, i3 = occ.positions
-        a, c, b = occ.letters
-        if i2 == i1 + 1 and i3 == i2 + 1 and b == a + 1:
-            out.append(p)
-    return out
+def _adjacent(occ, m: int) -> bool:
+    """The 132 a c b sits in consecutive positions, with b = a + 1."""
+    (i1, i2, i3), (a, _, b) = occ.positions, occ.letters
+    return i2 == i1 + 1 and i3 == i2 + 1 and b == a + 1
 
 
-def _boundary_class(m: int) -> list[tuple[int, ...]]:
-    out = []
-    for p in _pattern_census(m, (1, 3, 2), 1)[1]:
-        occ = next(iter(_occ132(p)))
-        if occ.positions == (0, 1, m - 1) and occ.letters == (m - 2, m, m - 1):
-            out.append(p)
-    return out
+def _boundary(occ, m: int) -> bool:
+    """The 132 is (m-2, m, m-1) at the first two positions and the last."""
+    return occ.positions == (0, 1, m - 1) and occ.letters == (m - 2, m, m - 1)
 
 
-def _occ132(p: tuple[int, ...]):
-    from .permutations import occurrences
-
-    return occurrences(p, (1, 3, 2))
+def _one132_class(m: int, keep: Callable) -> list[tuple[int, ...]]:
+    """The permutations of [m] with exactly one 132, an occurrence that
+    ``keep(occurrence, m)`` accepts."""
+    census = _pattern_census(m, (1, 3, 2), 1)[1]
+    return [p for p in census if keep(next(occurrences(p, (1, 3, 2))), m)]
 
 
 def _check_adjacent_132(nmax: int) -> str:
     top = min(nmax, 8)
     for n in range(3, top + 1):
-        domain = _adjacent_class(n)
-        images = []
-        for p in domain:
-            rho, k = bij.split_adjacent_132(p)
-            _eq(bij.join_adjacent_132(rho, k), p, f"adjacent split round-trip at {p}")
-            images.append((rho, k))
-        expected = [
-            (rho, k)
-            for rho in _avoiders(n - 2, (1, 3, 2))
-            for k in range(1, n - 1)
-        ]
-        _eq(sorted(images), sorted(expected), f"adjacent image at n={n}")
+        _matched_pair(f"adjacent n={n}", _one132_class(n, _adjacent), bij.split_adjacent_132,
+                      lambda rk: bij.join_adjacent_132(*rk),
+                      itertools.product(_avoiders(n - 2, (1, 3, 2)), range(1, n - 1)))
     return f"adjacent-132 class <-> (avoider, position) pairs, n <= {top}"
 
 
 def _check_boundary_132(nmax: int) -> str:
     top = min(nmax, 8)
     for n in range(3, top + 1):
-        domain = _boundary_class(n)
-        images = []
-        for p in domain:
-            w2 = bij.split_boundary_132(p)
-            _eq(bij.join_boundary_132(w2), p, f"boundary split round-trip at {p}")
-            images.append(w2)
-        _eq(sorted(images), sorted(_avoiders(n - 3, (1, 3, 2))), f"boundary image at n={n}")
+        _matched_pair(f"boundary n={n}", _one132_class(n, _boundary), bij.split_boundary_132,
+                      bij.join_boundary_132, _avoiders(n - 3, (1, 3, 2)))
     return f"boundary-132 class <-> avoiders three sizes down, n <= {top}"
 
 
 def _check_one132_decomposition(nmax: int) -> str:
     top = min(nmax, 8)
     for n in range(3, top + 1):
-        domain = _pattern_census(n, (1, 3, 2), 1)[1]
-        images = []
-        for p in domain:
-            rho, sigma = bij.split_one132(p)
-            _eq(bij.join_one132(rho, sigma), p, f"one-132 split round-trip at {p}")
-            images.append((rho, sigma))
-        expected = [
-            (rho, sigma)
+        codomain = [
+            pair
             for m in range(3, n + 1)
-            if n + 3 - m >= 3
-            for rho in _adjacent_class(m)
-            for sigma in _boundary_class(n + 3 - m)
+            for pair in itertools.product(_one132_class(m, _adjacent),
+                                          _one132_class(n + 3 - m, _boundary))
         ]
-        _eq(sorted(images), sorted(expected), f"one-132 decomposition image at n={n}")
+        _matched_pair(f"one-132 n={n}", _pattern_census(n, (1, 3, 2), 1)[1], bij.split_one132,
+                      lambda rs: bij.join_one132(*rs), codomain)
     return f"one-132 permutations <-> (adjacent, boundary) pairs, n <= {top}"
-
-
-def _one321_codomain(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    out = []
-    for b in range(2, n):
-        for rho in _avoiders(b, (3, 2, 1)):
-            if rho[-1] > b - 1:
-                continue
-            for sigma in _avoiders(n - b + 1, (3, 2, 1)):
-                if sigma[0] >= 2:
-                    out.append((rho, sigma))
-    return out
 
 
 def _check_one321_decomposition(nmax: int) -> str:
     top = min(nmax, 8)
     for n in range(3, top + 1):
-        domain = _pattern_census(n, (3, 2, 1), 1)[1]
-        images = []
-        for p in domain:
-            rho, sigma = bij.split_one321(p)
-            _eq(bij.join_one321(rho, sigma), p, f"one-321 split round-trip at {p}")
-            images.append((rho, sigma))
-        _eq(sorted(images), sorted(_one321_codomain(n)), f"one-321 image at n={n}")
+        codomain = [
+            pair
+            for b in range(2, n)
+            for pair in itertools.product(_where(_avoiders(b, (3, 2, 1)), LastLe(b - 1)),
+                                          _where(_avoiders(n - b + 1, (3, 2, 1)), FirstGe(2)))
+        ]
+        _matched_pair(f"one-321 n={n}", _pattern_census(n, (3, 2, 1), 1)[1], bij.split_one321,
+                      lambda rs: bij.join_one321(*rs), codomain)
     return f"one-321 permutations <-> avoider pairs, n <= {top}"
 
 
 def _two321_kind(p: tuple[int, ...]) -> str:
-    from .permutations import occurrences
-
     occs = list(occurrences(p, (3, 2, 1)))
     (c1, b1, a1), (c2, b2, a2) = sorted(
         (o.letters for o in occs), key=lambda t: (t[1], t[0], t[2])
@@ -398,31 +367,6 @@ def _two321_kind(p: tuple[int, ...]) -> str:
     if b1 != b2:
         return "distinct"
     return "shared-bottom" if a1 == a2 else "shared-top"
-
-
-def _two321_shared_codomain(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    out = []
-    for b in range(2, n):
-        for rho in _avoiders(b + 1, (3, 2, 1)):
-            if rho[-1] > b - 1:
-                continue
-            for sigma in _avoiders(n - b + 1, (3, 2, 1)):
-                if sigma.index(1) >= 2:
-                    out.append((rho, sigma))
-    return out
-
-
-def _two321_distinct_codomain(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    out = []
-    for k in range(0, n - 3):
-        sigmas = [
-            s
-            for s in _avoiders(k + 2, (3, 2, 1))
-            if s[0] >= 2 and s[-1] <= k + 1
-        ]
-        rhos = _pattern_census(n - k - 1, (3, 2, 1), 1)[1]
-        out.extend((r, s) for r in rhos for s in sigmas)
-    return out
 
 
 def _check_two321_decompositions(nmax: int) -> str:
@@ -439,12 +383,14 @@ def _check_two321_decompositions(nmax: int) -> str:
             else:
                 distinct.append(p)
         # shared bottom letter: direct decomposition
-        images = []
-        for p in shared:
-            rho, sigma = bij.split_two321_shared(p)
-            _eq(bij.join_two321_shared(rho, sigma), p, f"shared split round-trip at {p}")
-            images.append((rho, sigma))
-        _eq(sorted(images), sorted(_two321_shared_codomain(n)), f"shared image at n={n}")
+        codomain = [
+            pair
+            for b in range(2, n)
+            for pair in itertools.product(_where(_avoiders(b + 1, (3, 2, 1)), LastLe(b - 1)),
+                                          _where(_avoiders(n - b + 1, (3, 2, 1)), OnePosGe(3)))
+        ]
+        _matched_pair(f"shared n={n}", shared, bij.split_two321_shared,
+                      lambda rs: bij.join_two321_shared(*rs), codomain)
         # shared top letter: reverse-complement carries it to the first kind
         for p in mirrored:
             q = reverse(complement(p))
@@ -454,12 +400,16 @@ def _check_two321_decompositions(nmax: int) -> str:
             _eq(bij.join_two321_shared(rho, sigma), q, f"mirrored round-trip at {p}")
         _eq(len(mirrored), len(shared), f"mirror classes sizes at n={n}")
         # distinct middle letters
-        images = []
-        for p in distinct:
-            rho, sigma = bij.split_two321_distinct(p)
-            _eq(bij.join_two321_distinct(rho, sigma), p, f"distinct split round-trip at {p}")
-            images.append((rho, sigma))
-        _eq(sorted(images), sorted(_two321_distinct_codomain(n)), f"distinct image at n={n}")
+        codomain = [
+            pair
+            for k in range(0, n - 3)
+            for pair in itertools.product(
+                _pattern_census(n - k - 1, (3, 2, 1), 1)[1],
+                _where(_avoiders(k + 2, (3, 2, 1)), FirstGe(2), LastLe(k + 1)),
+            )
+        ]
+        _matched_pair(f"distinct n={n}", distinct, bij.split_two321_distinct,
+                      lambda rs: bij.join_two321_distinct(*rs), codomain)
         total = len(shared) + len(mirrored) + len(distinct)
         _eq(total, formulas.count("p321-2", n), f"two-321 class partition at n={n}")
     return f"both two-321 decompositions cover their classes, n <= {top}"
@@ -570,7 +520,7 @@ def _check_dyck_class_counts(nmax: int) -> str:
         for c in constraints:
             _eq(
                 pathmod.count_dyck_class(n, c),
-                oracle.count_dyck_class_oracle(n, c),
+                sum(in_dyck_class(st, c) for st in _dyck_stats(n)),
                 f"class count at n={n}, {c}",
             )
     return f"{len(constraints)} constrained classes match enumeration for n <= {top}"
