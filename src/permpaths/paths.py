@@ -18,7 +18,7 @@ import itertools
 import math
 from typing import Sequence
 
-from .errors import InvalidInputError, UnsupportedClassError
+from .errors import InvalidInputError, UnsupportedClassError, VerificationError
 
 # ---------------------------------------------------------------------------
 # path words
@@ -148,19 +148,8 @@ def parse_path(text: str) -> str:
 # ballot numbers
 
 
-def binomial(a: int, b: int, extended: bool = False) -> int:
-    """Binomial coefficient, zero outside 0 <= b <= a.
-
-    The ``extended`` flag turns on the boundary convention
-    binomial(-1, -1) = 1 (and binomial(-1, 0) = 0) needed by the
-    subtraction form of the last-ascents count; everything else with a
-    negative argument stays 0.
-
-    >>> binomial(-1, -1), binomial(-1, -1, extended=True)
-    (0, 1)
-    """
-    if extended and a == -1:
-        return 1 if b == -1 else 0
+def binomial(a: int, b: int) -> int:
+    """Binomial coefficient, zero outside 0 <= b <= a."""
     if a < 0 or b < 0 or b > a:
         return 0
     return math.comb(a, b)
@@ -196,7 +185,8 @@ def ballot_quotient_form(k: int, n: int) -> int:
     if k == 0:
         return 1 if n == 0 else 0
     q, r = divmod(k * math.comb(2 * n + k, n), 2 * n + k)
-    assert r == 0, f"k*binom(2n+k, n) not divisible by 2n+k at k={k}, n={n}"
+    if r:
+        raise VerificationError(f"k*binom(2n+k, n) not divisible by 2n+k at k={k}, n={n}")
     return q
 
 
@@ -295,7 +285,7 @@ def count_lastascents_G(n: int, r: int, s: int) -> int:
     m = min(r, s)
     total = sum(ballot(r + s + 1 - 2 * j, n - r - s + j) for j in range(m + 1))
     total -= sum(
-        binomial(r + s - 2 * j, r - j, extended=True) * ballot(0, n - r - s + j)
+        binomial(r + s - 2 * j, r - j) * ballot(0, n - r - s + j)
         for j in range(2, m + 1)
     )
     return total

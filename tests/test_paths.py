@@ -91,11 +91,7 @@ def test_binomial_values():
 
 
 def test_binomial_boundary_convention():
-    # the extended flag only changes the (-1, -1) corner
     assert binomial(-1, -1) == 0
-    assert binomial(-1, -1, extended=True) == 1
-    assert binomial(-1, 0, extended=True) == 0
-    assert binomial(-3, 2, extended=True) == 0
 
 
 def test_catalan_values():
