@@ -1,11 +1,14 @@
 """End-to-end tests for the command-line interface.
 
 Everything runs in-process through ``cli.main`` so exit codes and
-stdout/stderr splits are observable without spawning subprocesses.
+stdout/stderr splits are observable without spawning subprocesses; the
+one exception reruns the verify report under ``python -O``.
 """
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -333,6 +336,17 @@ def test_verify_all_golden_output(capsys):
     code, out, err = run(capsys, "verify", "--suite", "all", "--nmax", "7")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_NMAX7_SHA256
+
+
+def test_verify_all_golden_output_under_python_O():
+    """With asserts stripped every check still runs and passes."""
+    code = "import sys; from permpaths import cli; sys.exit(cli.main(sys.argv[1:]))"
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code, "verify", "--suite", "all", "--nmax", "7"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == VERIFY_ALL_NMAX7_SHA256
 
 
 def test_verify_reports_failures(capsys, monkeypatch):
