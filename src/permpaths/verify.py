@@ -123,9 +123,9 @@ def _matched_pair(
     what: str, domain: Iterable, forward: Callable, inverse: Callable, codomain: Iterable
 ) -> list:
     """Check that ``inverse`` undoes ``forward`` on every element of
-    ``domain`` and that the images are exactly ``codomain`` (a list with
-    no repeats, in any order), which makes ``forward`` a bijection onto
-    it.  Returns the images in domain order."""
+    ``domain`` and that the images are exactly ``codomain`` (no repeats,
+    any order), which makes ``forward`` a bijection onto it.  Returns
+    the images in domain order."""
     images = []
     for x in domain:
         y = forward(x)
