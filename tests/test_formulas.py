@@ -2,7 +2,7 @@
 
 The tables below were generated once by exhaustive enumeration (n <= 9),
 the closed forms themselves at n = 10 and ``oracle_count(family, 11)``
-(about 13 s for all twelve families on two cores; each value equals the
+(under 20 s for all twelve families on two cores; each value equals the
 closed form), then frozen. A change in either route that breaks
 agreement shows up here without recomputing anything heavy.
 """
