@@ -5,6 +5,7 @@ suite; here the sizes stay small so the file runs in seconds, with
 hypothesis picking random elements of the right classes.
 """
 
+import hashlib
 import itertools
 import random
 import subprocess
@@ -39,7 +40,7 @@ from permpaths.bijections import (
 from permpaths.errors import DomainError
 from permpaths.oracle import enumerate_dyck, enumerate_paths
 from permpaths.paths import path_stats
-from permpaths.permutations import _occurrences_by_subsets, avoids, count_occurrences
+from permpaths.permutations import _occurrences_by_subsets, avoids, count_occurrences, occurrences
 
 
 def _class_members(n, pattern, k):
@@ -280,6 +281,37 @@ def test_two321_round_trip(p):
     elif a1 == a2:
         rho, sigma = split_two321_shared(p)
         assert join_two321_shared(rho, sigma) == p
+
+
+def _shares_middle_and_last(p):
+    (_, b1, a1), (_, b2, a2) = (o.letters for o in occurrences(p, (3, 2, 1)))
+    return b1 == b2 and a1 == a2
+
+
+# sha256 of one repr((p, split(p), join(*split(p)))) line per domain
+# element, n <= 8 in lexicographic order. The verify checks compare
+# images with their codomain as a set, so another bijection onto the
+# same codomain would pass them; these pins would not.
+SHARED_CUT_PINS = [
+    (1, lambda p: True, split_one321, join_one321, 2211,
+     "2fbcc226d58052a10857f6330d6731dfa59dddb4faea724051c027ee3765bc7d"),
+    (2, _shares_middle_and_last, split_two321_shared, join_two321_shared, 1171,
+     "7a1a40581f404a2429a720af96cd4d9a875d40a1be1f0c777066b289f1ff19cd"),
+]
+
+
+@pytest.mark.parametrize("k, keep, split, join, size, digest", SHARED_CUT_PINS,
+                         ids=["one321", "two321-shared"])
+def test_shared_cut_values_pinned(k, keep, split, join, size, digest):
+    domain = [
+        p
+        for n in range(1, 9)
+        for p in itertools.permutations(range(1, n + 1))
+        if count_occurrences(p, (3, 2, 1), cap=k) == k and keep(p)
+    ]
+    text = "\n".join(repr((p, split(p), join(*split(p)))) for p in domain)
+    assert len(domain) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_postconditions_survive_python_O():
