@@ -198,7 +198,7 @@ def insert_returns(q: str, j: int) -> str:
     for t in reversed(slots):
         steps.insert(t, "D")
     out = "".join(steps)
-    assert delete_returns(out) == q and path_stats(out).returns == j
+    _ensure(delete_returns(out) == q and path_stats(out).returns == j, "deletion does not undo it")
     return out
 
 
@@ -244,9 +244,8 @@ def transfer_upsteps(d: str, i: int) -> str:
     )
     down_positions = [t for t, c in enumerate(d) if c == "D"]
     drop = {down_positions[t] + 1 for t in range(i)}
-    assert all(d[t] == "U" for t in drop)
     out = "U" * i + "".join(c for t, c in enumerate(d) if t not in drop)
-    assert is_dyck(out)
+    _ensure(is_dyck(out), "transfer left the Dyck paths")
     return out
 
 
@@ -278,7 +277,7 @@ def transfer_upsteps_inverse(d: str, i: int) -> str:
     for t in reversed(down_positions[:i]):
         steps.insert(t + 1, "U")
     out = "".join(steps)
-    assert is_dyck(out)
+    _ensure(is_dyck(out), "inverse transfer left the Dyck paths")
     return out
 
 
@@ -312,7 +311,6 @@ def tail_rotate(p: Sequence[int], i: int) -> tuple[int, ...]:
     j = p.index(n)
     if j < n - i:
         return p
-    assert j == n - 1
     return p[: n - i] + (n,) + p[n - i : n - 1]
 
 
@@ -336,7 +334,7 @@ def tail_rotate_inverse(p: Sequence[int], i: int) -> tuple[int, ...]:
     if j < n - i:
         return p
     out = p[: n - i] + p[n - i + 1 :] + (n,)
-    assert all(a < b for a, b in zip(out[n - i:], out[n - i + 1:]))
+    _ensure(all(a < b for a, b in zip(out[n - i:], out[n - i + 1:])), "tail not increasing")
     return out
 
 
@@ -377,7 +375,7 @@ def split_adjacent_132(p: Sequence[int]) -> tuple[tuple[int, ...], int]:
         f"the 132 must occupy consecutive positions, found {(i1 + 1, i2 + 1, i3 + 1)}",
     )
     a, c, b = occ.letters
-    assert b == a + 1
+    _ensure(b == a + 1, "the adjacent 132's outer letters are not consecutive")
     rho = reduce(p[:i1] + (c,) + p[i3 + 1 :])
     return rho, i1 + 1
 
@@ -430,7 +428,7 @@ def split_boundary_132(p: Sequence[int]) -> tuple[int, ...]:
         f"the 132 must occupy the first, second and last positions, found "
         f"{tuple(q + 1 for q in occ.positions)}",
     )
-    assert occ.letters == (n - 2, n, n - 1)
+    _ensure(occ.letters == (n - 2, n, n - 1), "the boundary 132 is not (n-2, n, n-1)")
     w2 = p[2:-1]
     _ensure(avoids(w2, (1, 3, 2)), f"boundary interior contains a 132: {w2}")
     return w2
@@ -521,7 +519,57 @@ def join_one132(rho: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# One 321: cut at the middle letter
+# One 321, or two sharing the middle and the last letter: cut at the middle
+#
+# With j 321s c_i b a through one middle letter b and one last letter a
+# (j = 1 or 2), the tops c_i are exactly the letters before b that are
+# larger than it, so b sits at position b + j - 1.  Cutting there gives
+# rho = reduce(W1 a), a 321-avoider on b + j - 1 letters ending at most
+# b - 1, and sigma = reduce(tops W2), a 321-avoider on n - b + 1 letters
+# whose letter 1 (the image of a) comes after the j tops.
+
+
+def _split_shared(p: Sequence[int], j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    p = check_permutation(p)
+    occs = _the_occurrence(p, (3, 2, 1), j)
+    triples = [o.letters for o in occs]
+    _require(len({t[1] for t in triples}) == 1, "shared-middle-letter",
+             f"the 321s {triples} must share their middle letter")
+    _require(len({t[2] for t in triples}) == 1, "shared-last-letter",
+             f"the 321s {triples} share their first letter; apply reverse-complement to reach "
+             "the shared-last-letter class")
+    _, b, a = triples[0]
+    pos_b = occs[0].positions[1]
+    _ensure(pos_b == b + j - 2, "the shared middle letter is off its position")
+    w1 = p[:pos_b]
+    rho = reduce(w1 + (a,))
+    sigma = reduce(tuple(x for x in w1 if x > b) + p[pos_b + 1 :])
+    _ensure(avoids(rho, (3, 2, 1)) and rho[-1] <= b - 1, f"rho outside its class: {rho}")
+    _ensure(avoids(sigma, (3, 2, 1)) and sigma.index(1) >= j, f"sigma outside its class: {sigma}")
+    return rho, sigma
+
+
+def _join_shared(rho: Sequence[int], sigma: Sequence[int], j: int) -> tuple[int, ...]:
+    rho = check_permutation(rho)
+    sigma = check_permutation(sigma)
+    b = len(rho) - j + 1
+    _require(len(rho) > j, "rho-length", f"rho needs more than {j} letters, got {len(rho)}")
+    _require(len(sigma) > j, "sigma-length", f"sigma needs more than {j} letters, got {len(sigma)}")
+    _require(avoids(rho, (3, 2, 1)), "rho-avoids-321", f"rho contains a 321: {rho}")
+    _require(avoids(sigma, (3, 2, 1)), "sigma-avoids-321", f"sigma contains a 321: {sigma}")
+    _require(rho[-1] <= b - 1, "rho-last-small", f"rho must end at most {b - 1}: {rho}")
+    _require(sigma.index(1) >= j, "sigma-one-late",
+             f"sigma must not place 1 in its first {j} positions: {sigma}")
+    a = rho[-1]
+    tops = [v + b - 1 for v in sigma[:j]]
+    w1 = [tops[v - b] if v >= b else v for v in rho[:-1]]
+    w2 = [a if v == 1 else v + b - 1 for v in sigma[j:]]
+    out = tuple(w1 + [b] + w2)
+    # exactly j 321s, j tops before b and one letter below b after it:
+    # every 321 is a top, b, a
+    _ensure(count_occurrences(out, (3, 2, 1), cap=j) == j and sum(v > b for v in w1) == j
+            and sum(v < b for v in w2) == 1, "the joined 321s do not all pass through b and a")
+    return out
 
 
 def split_one321(p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -534,16 +582,7 @@ def split_one321(p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     >>> split_one321((3, 2, 1))
     ((2, 1), (2, 1))
     """
-    p = check_permutation(p)
-    occ = _the_occurrence(p, (3, 2, 1), 1)[0]
-    a, b, c = occ.letters[2], occ.letters[1], occ.letters[0]
-    pos_b = occ.positions[1]
-    assert p[b - 1] == b and pos_b == b - 1
-    rho = reduce(p[:pos_b] + (a,))
-    sigma = reduce((c,) + p[pos_b + 1 :])
-    _ensure(avoids(rho, (3, 2, 1)) and rho[-1] <= len(rho) - 1, f"rho outside its class: {rho}")
-    _ensure(avoids(sigma, (3, 2, 1)) and sigma[0] >= 2, f"sigma outside its class: {sigma}")
-    return rho, sigma
+    return _split_shared(p, 1)
 
 
 def join_one321(rho: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
@@ -553,35 +592,7 @@ def join_one321(rho: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
     >>> join_one321((2, 1), (2, 1))
     (3, 2, 1)
     """
-    rho = check_permutation(rho)
-    sigma = check_permutation(sigma)
-    b = len(rho)
-    _require(b >= 2, "rho-length", f"rho needs at least 2 letters, got {b}")
-    _require(len(sigma) >= 2, "sigma-length", f"sigma needs at least 2 letters, got {len(sigma)}")
-    _require(avoids(rho, (3, 2, 1)), "rho-avoids-321", f"rho contains a 321: {rho}")
-    _require(avoids(sigma, (3, 2, 1)), "sigma-avoids-321", f"sigma contains a 321: {sigma}")
-    _require(rho[-1] <= b - 1, "rho-last-small", f"rho must not end with its maximum: {rho}")
-    _require(sigma[0] >= 2, "sigma-first-large", f"sigma must not start with 1: {sigma}")
-    a = rho[-1]
-    c = sigma[0] + b - 1
-    w1 = [c if v == b else v for v in rho[:-1]]
-    w2 = [a if v == 1 else v + b - 1 for v in sigma[1:]]
-    out = tuple(w1 + [b] + w2)
-    _ensure(count_occurrences(out, (3, 2, 1), cap=1) == 1, f"{out} lacks a unique 321")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Two 321s sharing both the middle and the last letter
-
-
-def _two321_sorted(p: tuple[int, ...]) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """The two occurrences as (c, b, a) letter triples, ordered primarily
-    by middle letter, then first, then last."""
-    occs = _the_occurrence(p, (3, 2, 1), 2)
-    triples = sorted((o.letters[1], o.letters[0], o.letters[2]) for o in occs)
-    (b1, c1, a1), (b2, c2, a2) = triples
-    return (c1, b1, a1), (c2, b2, a2)
+    return _join_shared(rho, sigma, 1)
 
 
 def split_two321_shared(p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -596,27 +607,7 @@ def split_two321_shared(p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, .
     >>> split_two321_shared((3, 4, 2, 1, 5))
     ((2, 3, 1), (2, 3, 1, 4))
     """
-    p = check_permutation(p)
-    (c1, b1, a1), (c2, b2, a2) = _two321_sorted(p)
-    _require(
-        b1 == b2,
-        "shared-middle-letter",
-        f"the two 321s must share their middle letter, found {b1} and {b2}",
-    )
-    _require(
-        a1 == a2,
-        "shared-last-letter",
-        "the two 321s share their first letter; apply reverse-complement to reach "
-        "the shared-last-letter class",
-    )
-    b, a = b1, a1
-    pos_b = p.index(b)
-    assert pos_b == b
-    rho = reduce(p[:pos_b] + (a,))
-    sigma = reduce((c1, c2) + p[pos_b + 1 :])
-    _ensure(avoids(rho, (3, 2, 1)) and rho[-1] <= len(rho) - 2, f"rho outside its class: {rho}")
-    _ensure(avoids(sigma, (3, 2, 1)) and sigma.index(1) >= 2, f"sigma outside its class: {sigma}")
-    return rho, sigma
+    return _split_shared(p, 2)
 
 
 def join_two321_shared(rho: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
@@ -626,39 +617,20 @@ def join_two321_shared(rho: Sequence[int], sigma: Sequence[int]) -> tuple[int, .
     >>> join_two321_shared((2, 3, 1), (2, 3, 1, 4))
     (3, 4, 2, 1, 5)
     """
-    rho = check_permutation(rho)
-    sigma = check_permutation(sigma)
-    _require(len(rho) >= 3, "rho-length", f"rho needs at least 3 letters, got {len(rho)}")
-    _require(len(sigma) >= 3, "sigma-length", f"sigma needs at least 3 letters, got {len(sigma)}")
-    _require(avoids(rho, (3, 2, 1)), "rho-avoids-321", f"rho contains a 321: {rho}")
-    _require(avoids(sigma, (3, 2, 1)), "sigma-avoids-321", f"sigma contains a 321: {sigma}")
-    b = len(rho) - 1
-    _require(
-        rho[-1] <= b - 1,
-        "rho-last-small",
-        f"rho must end at least two below its maximum: {rho}",
-    )
-    _require(
-        sigma.index(1) >= 2,
-        "sigma-one-late",
-        f"sigma must not place 1 in its first two positions: {sigma}",
-    )
-    a = rho[-1]
-    c1 = sigma[0] + b - 1
-    c2 = sigma[1] + b - 1
-    w1 = [c1 if v == b else c2 if v == b + 1 else v for v in rho[:-1]]
-    w2 = [a if v == 1 else v + b - 1 for v in sigma[2:]]
-    out = tuple(w1 + [b] + w2)
-    occ1, occ2 = _two321_sorted(out)
-    _ensure(
-        occ1[1] == occ2[1] and occ1[2] == occ2[2],
-        f"the two 321s of {out} do not share their middle and last letters",
-    )
-    return out
+    return _join_shared(rho, sigma, 2)
 
 
 # ---------------------------------------------------------------------------
 # Two 321s with distinct middle letters
+
+
+def _two321_sorted(p: tuple[int, ...]) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The two occurrences as (c, b, a) letter triples, ordered primarily
+    by middle letter, then first, then last."""
+    occs = _the_occurrence(p, (3, 2, 1), 2)
+    triples = sorted((o.letters[1], o.letters[0], o.letters[2]) for o in occs)
+    (b1, c1, a1), (b2, c2, a2) = triples
+    return (c1, b1, a1), (c2, b2, a2)
 
 
 def split_two321_distinct(p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -681,9 +653,9 @@ def split_two321_distinct(p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int,
         "distinct-middle-letters",
         f"the two 321s share their middle letter {b1}; use the shared-middle split",
     )
-    assert c1 <= c2 and a1 <= a2
+    _ensure(c1 <= c2 and a1 <= a2, "the two 321s cross")
     pb1, pb2 = p.index(b1), p.index(b2)
-    assert pb1 == b1 - 1 and pb1 < pb2
+    _ensure(pb1 == b1 - 1 and pb1 < pb2, "middle letters misplaced")
     w1 = list(p[:pb1])
     w2 = list(p[pb1 + 1 : pb2])
     w3 = list(p[pb2 + 1 :])
@@ -726,7 +698,7 @@ def join_two321_distinct(rho: Sequence[int], sigma: Sequence[int]) -> tuple[int,
     b1, a1 = bv, av
     b2 = b1 + k + 1
     c2 = cv + k + 1
-    assert qb == b1 - 1
+    _ensure(qb == b1 - 1, "rho's middle letter is not a fixed point")
     c1 = c2 if sigma[0] == k + 2 else sigma[0] + b1 - 1
     a2 = a1 if sigma[-1] == 1 else sigma[-1] + b1 - 1
     w2 = [a1 if v == 1 else c2 if v == k + 2 else v + b1 - 1 for v in sigma[1:-1]]

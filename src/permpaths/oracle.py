@@ -517,14 +517,12 @@ def marked_highpoint_histogram(n: int, k: int, allow_large: bool = False) -> lis
         raise ResourceLimitError(
             f"n + k = {n + k} over cap {MAX_MARKED_SIZE}; pass allow_large to force"
         )
-    length = 2 * n + k
-    hist = [0] * length
-    for down_positions in itertools.combinations(range(length), n):
-        downs = set(down_positions)
+    hist = [0] * (2 * n + k)
+    for path in enumerate_paths(n + k, n, lo=None, hi=None, allow_large=allow_large):
         h = 0
         first_at = {}
-        for x in range(1, length + 1):
-            h += -1 if x - 1 in downs else 1
+        for x, step in enumerate(path, 1):
+            h += 1 if step == "U" else -1
             if h not in first_at:
                 first_at[h] = x
         top = max(first_at)

@@ -82,13 +82,17 @@ def _eq(actual, expected, context: str) -> None:
 # enumeration helpers (cached; these back several checks)
 
 
+# The most occurrences any check asks the census for.
+_CENSUS_KMAX = 2
+
+
 @functools.lru_cache(maxsize=None)
-def _pattern_census(n: int, pattern: tuple[int, ...], kmax: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _pattern_census(n: int, pattern: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Permutations of [n] grouped by occurrence count of ``pattern``:
-    entry k lists those with exactly k occurrences, for k <= kmax, in
-    lexicographic order."""
+    entry k lists those with exactly k occurrences, for k <= _CENSUS_KMAX,
+    in lexicographic order."""
     counter = PatternCount(pattern, 0)
-    groups: list[list[tuple[int, ...]]] = [[] for _ in range(kmax + 1)]
+    groups: list[list[tuple[int, ...]]] = [[] for _ in range(_CENSUS_KMAX + 1)]
     for block in _perm_blocks(n):
         counts = counter.counts(block)
         for k, group in enumerate(groups):
@@ -97,7 +101,7 @@ def _pattern_census(n: int, pattern: tuple[int, ...], kmax: int) -> tuple[tuple[
 
 
 def _avoiders(n: int, pattern: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return _pattern_census(n, pattern, 0)[0]
+    return _pattern_census(n, pattern)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -252,9 +256,6 @@ def _check_returns_bijection(nmax: int) -> str:
     ]
     _matched_pair("returns", domain, lambda r: (bij.delete_returns(r), path_stats(r).returns),
                   lambda qj: bij.insert_returns(*qj), codomain)
-    for q, j in codomain:
-        r = bij.insert_returns(q, j)
-        _eq(bij.delete_returns(r), q, f"insertion inverse at {(q, j)}")
     return f"deletion <-> insertion over all paths with <= {cap} steps"
 
 
@@ -279,9 +280,6 @@ def _check_transfer_bijection(nmax: int) -> str:
             ]
             _matched_pair(f"transfer n={n} i={i}", domain, lambda d: bij.transfer_upsteps(d, i),
                           lambda e: bij.transfer_upsteps_inverse(e, i), codomain)
-            for e in codomain:
-                _eq(bij.transfer_upsteps(bij.transfer_upsteps_inverse(e, i), i), e,
-                    f"transfer inverse round-trip {e!r} i={i}")
     return f"upstep transfer is a matched pair for semilength <= {top}, i <= {imax}"
 
 
@@ -310,7 +308,7 @@ def _boundary(occ, m: int) -> bool:
 def _one132_class(m: int, keep: Callable) -> list[tuple[int, ...]]:
     """The permutations of [m] with exactly one 132, an occurrence that
     ``keep(occurrence, m)`` accepts."""
-    census = _pattern_census(m, (1, 3, 2), 1)[1]
+    census = _pattern_census(m, (1, 3, 2))[1]
     return [p for p in census if keep(next(occurrences(p, (1, 3, 2))), m)]
 
 
@@ -340,23 +338,33 @@ def _check_one132_decomposition(nmax: int) -> str:
             for pair in itertools.product(_one132_class(m, _adjacent),
                                           _one132_class(n + 3 - m, _boundary))
         ]
-        _matched_pair(f"one-132 n={n}", _pattern_census(n, (1, 3, 2), 1)[1], bij.split_one132,
+        _matched_pair(f"one-132 n={n}", _pattern_census(n, (1, 3, 2))[1], bij.split_one132,
                       lambda rs: bij.join_one132(*rs), codomain)
     return f"one-132 permutations <-> (adjacent, boundary) pairs, n <= {top}"
+
+
+def _shared_codomain(n: int, j: int) -> list:
+    """The (rho, sigma) pairs of the shared-middle cut of [n] with j
+    tops: rho ends at most b - 1 and sigma places 1 after position j,
+    for each middle letter b = 2..n-1."""
+    return [
+        pair
+        for b in range(2, n)
+        for pair in itertools.product(_where(_avoiders(b + j - 1, (3, 2, 1)), LastLe(b - 1)),
+                                      _where(_avoiders(n - b + 1, (3, 2, 1)), OnePosGe(j + 1)))
+    ]
 
 
 def _check_one321_decomposition(nmax: int) -> str:
     top = min(nmax, 8)
     for n in range(3, top + 1):
-        codomain = [
-            pair
-            for b in range(2, n)
-            for pair in itertools.product(_where(_avoiders(b, (3, 2, 1)), LastLe(b - 1)),
-                                          _where(_avoiders(n - b + 1, (3, 2, 1)), FirstGe(2)))
-        ]
-        _matched_pair(f"one-321 n={n}", _pattern_census(n, (3, 2, 1), 1)[1], bij.split_one321,
-                      lambda rs: bij.join_one321(*rs), codomain)
+        _matched_pair(f"one-321 n={n}", _pattern_census(n, (3, 2, 1))[1], bij.split_one321,
+                      lambda rs: bij.join_one321(*rs), _shared_codomain(n, 1))
     return f"one-321 permutations <-> avoider pairs, n <= {top}"
+
+
+def _reverse_complement(p: tuple[int, ...]) -> tuple[int, ...]:
+    return reverse(complement(p))
 
 
 def _two321_kind(p: tuple[int, ...]) -> str:
@@ -372,39 +380,21 @@ def _two321_kind(p: tuple[int, ...]) -> str:
 def _check_two321_decompositions(nmax: int) -> str:
     top = min(nmax, 8)
     for n in range(4, top + 1):
-        domain = _pattern_census(n, (3, 2, 1), 2)[2]
-        shared, mirrored, distinct = [], [], []
-        for p in domain:
-            kind = _two321_kind(p)
-            if kind == "shared-bottom":
-                shared.append(p)
-            elif kind == "shared-top":
-                mirrored.append(p)
-            else:
-                distinct.append(p)
+        kinds: dict[str, list] = {"shared-bottom": [], "shared-top": [], "distinct": []}
+        for p in _pattern_census(n, (3, 2, 1))[2]:
+            kinds[_two321_kind(p)].append(p)
+        shared, mirrored, distinct = kinds.values()
         # shared bottom letter: direct decomposition
-        codomain = [
-            pair
-            for b in range(2, n)
-            for pair in itertools.product(_where(_avoiders(b + 1, (3, 2, 1)), LastLe(b - 1)),
-                                          _where(_avoiders(n - b + 1, (3, 2, 1)), OnePosGe(3)))
-        ]
         _matched_pair(f"shared n={n}", shared, bij.split_two321_shared,
-                      lambda rs: bij.join_two321_shared(*rs), codomain)
-        # shared top letter: reverse-complement carries it to the first kind
-        for p in mirrored:
-            q = reverse(complement(p))
-            if _two321_kind(q) != "shared-bottom":
-                _fail(f"reverse-complement did not normalize {p}")
-            rho, sigma = bij.split_two321_shared(q)
-            _eq(bij.join_two321_shared(rho, sigma), q, f"mirrored round-trip at {p}")
-        _eq(len(mirrored), len(shared), f"mirror classes sizes at n={n}")
+                      lambda rs: bij.join_two321_shared(*rs), _shared_codomain(n, 2))
+        # shared top letter: reverse-complement carries it onto the first kind
+        _matched_pair(f"mirrored n={n}", mirrored, _reverse_complement, _reverse_complement, shared)
         # distinct middle letters
         codomain = [
             pair
             for k in range(0, n - 3)
             for pair in itertools.product(
-                _pattern_census(n - k - 1, (3, 2, 1), 1)[1],
+                _pattern_census(n - k - 1, (3, 2, 1))[1],
                 _where(_avoiders(k + 2, (3, 2, 1)), FirstGe(2), LastLe(k + 1)),
             )
         ]
