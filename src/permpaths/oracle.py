@@ -15,8 +15,10 @@ per process, and each block is a lead of fixed letters followed by a
 slice of that table relabelled onto the letters the lead leaves
 unused.  Each condition's ``mask`` tests its definition directly (a
 pattern count tries all C(n, k) index sets), so the scan does not
-share the counting method of ``permutations``.  One generator masks
-the blocks: ``count_perms`` sums the lengths of what survives, and
+share the counting method of ``permutations``; as relabelling keeps
+order, an index set inside the table is tried once per table row
+(``_table_counts``).  One generator masks the blocks, copying one only
+when a mask drops rows: ``count_perms`` sums what survives, and
 ``stream_perms`` hands the surviving rows out in lexicographic order
 (this is what ``permpaths enumerate`` prints, its filter atoms compiled
 to these conditions).  ``enumerate_perms`` and the per-word ``holds``
@@ -54,7 +56,7 @@ MAX_MARKED_SIZE = 12  # cap on n + k for marked-path histograms
 WORKERS_ENV_VAR = "PERMPATHS_WORKERS"
 
 _CHUNK_ROWS = 131072
-_PARALLEL_MIN_N = 10  # below this one process beats the pool (BENCH_oracle_blocks.json)
+_PARALLEL_MIN_N = 10  # the pool wins from here: p321-1 in 27 ms, 31 serial (0.9 at n = 9)
 
 
 # ---------------------------------------------------------------------------
@@ -77,32 +79,38 @@ class PatternCount:
         return count_occurrences(word, self.pattern, cap=self.count) == self.count
 
     def counts(self, arr: np.ndarray) -> np.ndarray:
-        """Occurrences of ``pattern`` in each row, by trying every one of
-        the C(n, k) index sets."""
-        n = arr.shape[1]
-        k = len(self.pattern)
-        if k == 1:
-            return np.full(arr.shape[0], n, dtype=np.int16)
-        counts = np.zeros(arr.shape[0], dtype=np.int16)
-        if n >= k:
-            cols = np.ascontiguousarray(arr.T)  # one contiguous row per position
-            less = {}
-
-            def is_less(i, j):
-                if (i, j) not in less:
-                    less[i, j] = cols[i] < cols[j]
-                return less[i, j]
-
-            chain = sorted(range(k), key=lambda i: self.pattern[i])
-            for combo in itertools.combinations(range(n), k):
-                m = is_less(combo[chain[0]], combo[chain[1]])
-                for t in range(1, k - 1):
-                    m = m & is_less(combo[chain[t]], combo[chain[t + 1]])
-                counts += m
-        return counts
+        """Occurrences of ``pattern`` in each row, by trying every one of the
+        C(n, k) index sets (the scan tries those in the table once per row)."""
+        return _lead_counts(np.ascontiguousarray(arr.T), self.pattern, arr.shape[1])
 
     def mask(self, arr: np.ndarray) -> np.ndarray:
         return self.counts(arr) == self.count
+
+
+def _lead_counts(cols: np.ndarray, pattern: tuple[int, ...], lead: int) -> np.ndarray:
+    """Occurrences of ``pattern`` in each row of ``cols`` (one row per position)
+    at the index sets whose first index is below ``lead``; n tries them all."""
+    n, k = cols.shape[0], len(pattern)
+    if k == 1:
+        return np.full(cols.shape[1], min(lead, n), dtype=np.int16)
+    counts = np.zeros(cols.shape[1], dtype=np.int16)
+    less = {}  # only comparisons with a lead column recur across index sets
+
+    def is_less(i, j):
+        if min(i, j) >= lead:
+            return cols[i] < cols[j]
+        if (i, j) not in less:
+            less[i, j] = cols[i] < cols[j]
+        return less[i, j]
+
+    chain = sorted(range(k), key=lambda i: pattern[i])
+    combos = itertools.combinations(range(n), k)  # lexicographic: lead index sets first
+    for combo in itertools.takewhile(lambda c: c[0] < lead, combos):
+        m = is_less(combo[chain[0]], combo[chain[1]])
+        for t in range(1, k - 1):
+            m = m & is_less(combo[chain[t]], combo[chain[t + 1]])
+        counts += m
+    return counts
 
 
 @dataclasses.dataclass(frozen=True)
@@ -261,6 +269,20 @@ def _perm_table(m: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=None)
+def _table_counts(m: int, pattern: tuple[int, ...]) -> np.ndarray:
+    """Occurrences of ``pattern`` in each row of ``_perm_table(m)``, read-only
+    (at most C(9, 4) = 126).  Row r is its first letter, then row r mod
+    (m-1)! of S_{m-1} relabelled in order, so only the index sets through
+    the first letter are tried here."""
+    counts = np.zeros(math.factorial(m), dtype=np.uint8)
+    if m >= len(pattern):
+        lead = _lead_counts(_perm_table(m), pattern, 1).reshape(m, -1)
+        counts += (lead + _table_counts(m - 1, pattern)).astype(np.uint8).reshape(-1)
+    counts.flags.writeable = False
+    return counts
+
+
 def _perm_blocks(n: int, first: int | None = None) -> Iterator[np.ndarray]:
     """The permutations of 1..n, or only those starting with ``first``,
     in lexicographic order, as int8 arrays of at most ``_CHUNK_ROWS``
@@ -293,10 +315,23 @@ def _filtered_blocks(n: int, first: int | None, conditions: PermFilter) -> Itera
     satisfying every condition, in the same order."""
     # Cheap positional masks first, pattern counting on the survivors.
     ordered = sorted(conditions, key=lambda c: isinstance(c, PatternCount))
-    for arr in _perm_blocks(n, first):
+    m = min(n - (first is not None), _TABLE_MAX_M)
+    per_lead = -(-math.factorial(m) // _CHUNK_ROWS)
+    for b, block in enumerate(_perm_blocks(n, first)):
+        cols = block.T  # one contiguous row per position
+        start = b % per_lead * _CHUNK_ROWS  # each lead covers the S_m table in order
+        rows = slice(start, start + cols.shape[1])  # the table rows left in cols
         for c in ordered:
-            arr = arr[c.mask(arr)]
-        yield arr
+            if isinstance(c, PatternCount):
+                counts = _lead_counts(cols, c.pattern, n - m) + _table_counts(m, c.pattern)[rows]
+                keep = counts == c.count
+            else:
+                keep = c.mask(cols.T)
+            if not keep.all():
+                kept = np.flatnonzero(keep)
+                cols = np.take(cols, kept, axis=1)
+                rows = kept + rows.start if isinstance(rows, slice) else rows[kept]
+        yield cols.T
 
 
 def _count_block(n: int, first: int | None, conditions: PermFilter) -> int:

@@ -43,11 +43,11 @@ from .oracle import (
     MaxPosLe,
     OnePosGe,
     PatternCount,
-    _perm_blocks,
     count_perms,
     enumerate_dyck,
     enumerate_paths,
     in_dyck_class,
+    stream_perms,
 )
 from .paths import ballot, ballot_quotient_form, binomial, catalan, path_stats
 from .permutations import complement, occurrences, reverse
@@ -90,14 +90,9 @@ _CENSUS_KMAX = 2
 def _pattern_census(n: int, pattern: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Permutations of [n] grouped by occurrence count of ``pattern``:
     entry k lists those with exactly k occurrences, for k <= _CENSUS_KMAX,
-    in lexicographic order."""
-    counter = PatternCount(pattern, 0)
-    groups: list[list[tuple[int, ...]]] = [[] for _ in range(_CENSUS_KMAX + 1)]
-    for block in _perm_blocks(n):
-        counts = counter.counts(block)
-        for k, group in enumerate(groups):
-            group.extend(map(tuple, block[counts == k].tolist()))
-    return tuple(tuple(g) for g in groups)
+    in lexicographic order, from the oracle's scan."""
+    scans = (stream_perms(n, [PatternCount(pattern, k)]) for k in range(_CENSUS_KMAX + 1))
+    return tuple(map(tuple, scans))
 
 
 def _avoiders(n: int, pattern: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

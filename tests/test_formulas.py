@@ -61,7 +61,7 @@ def test_family_matches_frozen_table(family):
 
 @pytest.mark.parametrize("family", sorted(FROZEN))
 def test_family_matches_oracle_small(family):
-    for n in range(1, 8):
+    for n in range(1, 11):
         assert count(family, n) == count_perms(n, FAMILY_CONDITIONS[family])
 
 

@@ -24,6 +24,8 @@ from permpaths.oracle import (
     OnePosGe,
     PatternCount,
     _perm_blocks,
+    _perm_table,
+    _table_counts,
     count_perms,
     enumerate_dyck,
     enumerate_paths,
@@ -150,6 +152,22 @@ def test_pattern_counts_match_count_occurrences():
     assert PatternCount((1,), 6).mask(arr).all()
 
 
+@pytest.mark.parametrize("m", range(10))
+def test_table_counts_equal_definitional_counts(m):
+    """Each S_m table row's counts, built level by level from S_{m-1},
+    equal every index set tried on the row itself; at m = 9 only the
+    3-letter patterns of the families."""
+    if m < 9:
+        patterns = [p for k in range(1, 5) for p in itertools.permutations(range(1, k + 1))]
+    else:
+        patterns = [(1, 2, 3), (1, 3, 2), (3, 2, 1)]
+    for pattern in patterns:
+        got = _table_counts(m, pattern)
+        assert not got.flags.writeable
+        want = PatternCount(pattern, 0).counts(_perm_table(m).T)
+        assert got.tolist() == want.tolist(), pattern
+
+
 def test_count_perms_equals_streaming_filter():
     for conds in [(), (FirstEq(3),), (PatternCount((3, 2, 1), 1), LastRunIncreasing(2))]:
         want = sum(1 for _ in enumerate_perms(6, conds))
@@ -250,8 +268,21 @@ def test_stream_perms_across_small_blocks(monkeypatch):
 
     monkeypatch.setattr(oracle_mod, "_TABLE_MAX_M", 3)
     monkeypatch.setattr(oracle_mod, "_CHUNK_ROWS", 4)
-    for conds in [(), (PatternCount((3, 2, 1), 1),), (FirstGe(3), LastRunIncreasing(2))]:
-        assert list(stream_perms(6, conds)) == list(enumerate_perms(6, conds)), conds
+    # every block is a lead of three letters and 4 or 2 of the 6 table rows
+    for conds in [
+        (),
+        (PatternCount((3, 2, 1), 1),),
+        (FirstGe(3), LastRunIncreasing(2)),
+        (PatternCount((1, 2, 3), 0), PatternCount((1, 3, 2), 1)),
+        (LastLe(3), PatternCount((1, 3, 2), 2)),
+        (PatternCount((3, 2, 1), 2), LastRunIncreasing(2), OnePosGe(2)),
+        (PatternCount((2, 4, 1, 3), 1), MaxPosLe(4), LastLe(5)),
+        (FirstEq(2), PatternCount((1, 3, 2, 4), 1), PatternCount((3, 2, 1), 1)),
+    ]:
+        want = list(enumerate_perms(6, conds))
+        assert list(stream_perms(6, conds)) == want, conds
+        assert count_perms(6, conds, workers=1) == len(want), conds
+        assert count_perms(6, conds, workers=2) == len(want), conds
 
 
 def test_stream_perms_skips_ruled_out_first_letters(monkeypatch):
