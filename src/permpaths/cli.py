@@ -35,6 +35,10 @@ EXIT_RESOURCE = 3
 EXIT_DOMAIN = 4
 EXIT_VERIFY = 5
 
+# count and table sizes; p132-1 is the first family whose count passes
+# Python's 4,300-digit limit on integer-to-string conversion, at n = 7,148
+MAX_COUNT_N = 5000
+
 FILTER_PRESETS = {"last2up": "last_inc(2)"}
 
 
@@ -101,12 +105,19 @@ def parse_filter(text: str) -> tuple[_Atom, ...]:
 # subcommand handlers (each returns an exit code)
 
 
+def _known_family(family: str, n: int) -> bool:
+    """Whether ``family`` names a formula, listing the known ones on stderr
+    if not; raises ResourceLimitError when ``n`` is over ``MAX_COUNT_N``."""
+    if family not in formulas.FORMULAS:
+        print(f"unknown family {family!r}; known: {', '.join(sorted(formulas.FORMULAS))}", file=sys.stderr)
+        return False
+    if n > MAX_COUNT_N:
+        raise ResourceLimitError(f"size {n} over cap {MAX_COUNT_N}")
+    return True
+
+
 def _cmd_count(args, out: TextIO) -> int:
-    if args.family not in formulas.FORMULAS:
-        print(
-            f"unknown family {args.family!r}; known: {', '.join(sorted(formulas.FORMULAS))}",
-            file=sys.stderr,
-        )
+    if not _known_family(args.family, args.n):
         return EXIT_USAGE
     if args.mode in ("formula", "both"):
         fv = formulas.count(args.family, args.n)
@@ -126,15 +137,6 @@ def _cmd_count(args, out: TextIO) -> int:
 
 def _biject_registry():
     # name -> (parse input, forward, inverse, render image)
-    def perm_in(text):
-        return parse_permutation(text)
-
-    def path_in(text):
-        return parse_path(text)
-
-    def perm_out(p):
-        return format_permutation(p)
-
     def decomp_out(result):
         if isinstance(result, tuple) and len(result) == 2:
             rho, other = result
@@ -144,15 +146,15 @@ def _biject_registry():
         return json.dumps({"rho": list(result)})
 
     return {
-        "kratt": (perm_in, bij.records_to_dyck, bij.dyck_to_records, str),
-        "kratt-inv": (path_in, bij.dyck_to_records, bij.records_to_dyck, perm_out),
-        "phi": (perm_in, None, None, perm_out),  # wired up with i below
-        "lemma11": (perm_in, bij.split_adjacent_132, lambda rk: bij.join_adjacent_132(*rk), decomp_out),
-        "lemma12": (perm_in, bij.split_boundary_132, bij.join_boundary_132, decomp_out),
-        "prop14": (perm_in, bij.split_one132, lambda rs: bij.join_one132(*rs), decomp_out),
-        "one321": (perm_in, bij.split_one321, lambda rs: bij.join_one321(*rs), decomp_out),
-        "two321-b": (perm_in, bij.split_two321_shared, lambda rs: bij.join_two321_shared(*rs), decomp_out),
-        "two321-k": (perm_in, bij.split_two321_distinct, lambda rs: bij.join_two321_distinct(*rs), decomp_out),
+        "kratt": (parse_permutation, bij.records_to_dyck, bij.dyck_to_records, str),
+        "kratt-inv": (parse_path, bij.dyck_to_records, bij.records_to_dyck, format_permutation),
+        "phi": (parse_permutation, None, None, format_permutation),  # wired up with i below
+        "lemma11": (parse_permutation, bij.split_adjacent_132, lambda rk: bij.join_adjacent_132(*rk), decomp_out),
+        "lemma12": (parse_permutation, bij.split_boundary_132, bij.join_boundary_132, decomp_out),
+        "prop14": (parse_permutation, bij.split_one132, lambda rs: bij.join_one132(*rs), decomp_out),
+        "one321": (parse_permutation, bij.split_one321, lambda rs: bij.join_one321(*rs), decomp_out),
+        "two321-b": (parse_permutation, bij.split_two321_shared, lambda rs: bij.join_two321_shared(*rs), decomp_out),
+        "two321-k": (parse_permutation, bij.split_two321_distinct, lambda rs: bij.join_two321_distinct(*rs), decomp_out),
     }
 
 
@@ -178,11 +180,7 @@ def _cmd_biject(args, out: TextIO) -> int:
 
 
 def _cmd_table(args, out: TextIO) -> int:
-    if args.family not in formulas.FORMULAS:
-        print(
-            f"unknown family {args.family!r}; known: {', '.join(sorted(formulas.FORMULAS))}",
-            file=sys.stderr,
-        )
+    if not _known_family(args.family, args.nmax):
         return EXIT_USAGE
     rows = []
     for n in range(1, args.nmax + 1):

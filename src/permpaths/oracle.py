@@ -17,8 +17,8 @@ unused.  Each condition's ``mask`` tests its definition directly (a
 pattern count tries all C(n, k) index sets), so the scan does not
 share the counting method of ``permutations``; as relabelling keeps
 order, an index set inside the table is tried once per table row
-(``_table_counts``).  One generator masks the blocks, copying one only
-when a mask drops rows: ``count_perms`` sums what survives, and
+(``_table_counts``).  One generator builds and masks the blocks, copying
+one only when a mask drops rows: ``count_perms`` sums what survives, and
 ``stream_perms`` hands the surviving rows out in lexicographic order
 (this is what ``permpaths enumerate`` prints, its filter atoms compiled
 to these conditions).  ``enumerate_perms`` and the per-word ``holds``
@@ -186,9 +186,7 @@ class OnePosGe:
         return len(word) > 0 and word.index(1) + 1 >= self.position
 
     def mask(self, arr: np.ndarray) -> np.ndarray:
-        if arr.shape[1] == 0:
-            return np.zeros(arr.shape[0], dtype=bool)
-        return np.argmin(arr, axis=1) + 1 >= self.position
+        return (arr[:, max(self.position - 1, 0) :] == 1).any(axis=1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,9 +199,7 @@ class MaxPosLe:
         return len(word) > 0 and word.index(len(word)) + 1 <= self.position
 
     def mask(self, arr: np.ndarray) -> np.ndarray:
-        if arr.shape[1] == 0:
-            return np.zeros(arr.shape[0], dtype=bool)
-        return np.argmax(arr, axis=1) + 1 <= self.position
+        return (arr[:, : max(self.position, 0)] == arr.shape[1]).any(axis=1)
 
 
 PermCondition = (
@@ -283,16 +279,20 @@ def _table_counts(m: int, pattern: tuple[int, ...]) -> np.ndarray:
     return counts
 
 
-def _perm_blocks(n: int, first: int | None = None) -> Iterator[np.ndarray]:
+def _filtered_blocks(n: int, first: int | None, conditions: PermFilter) -> Iterator[np.ndarray]:
     """The permutations of 1..n, or only those starting with ``first``,
-    in lexicographic order, as int8 arrays of at most ``_CHUNK_ROWS``
-    rows (column-major, so each position is one contiguous column).
+    that satisfy every condition, in lexicographic order, as int8 arrays
+    of at most ``_CHUNK_ROWS`` rows (column-major, so each position is
+    one contiguous column).
 
-    A row is a lead (``first``, then a prefix of the letters left after
-    it, in lexicographic order) followed by a row of the table of S_m,
-    m = min(letters left, ``_TABLE_MAX_M``), relabelled onto the
-    letters the lead leaves unused.
+    A block is a lead (``first``, then a prefix of the letters left after
+    it, in lexicographic order) followed by a slice of the table of S_m,
+    m = min(letters left, ``_TABLE_MAX_M``), relabelled onto the letters
+    the lead leaves unused.  Cheap positional masks run first and pattern
+    counts on their survivors; a block is copied only when a mask drops
+    rows.
     """
+    ordered = sorted(conditions, key=lambda c: isinstance(c, PatternCount))
     head = () if first is None else (first,)
     free = [v for v in range(1, n + 1) if v not in head]
     m = min(len(free), _TABLE_MAX_M)
@@ -301,60 +301,40 @@ def _perm_blocks(n: int, first: int | None = None) -> Iterator[np.ndarray]:
         lead = head + prefix
         for start in range(0, table.shape[1], _CHUNK_ROWS):
             part = table[:, start : start + _CHUNK_ROWS]
-            block = np.empty((n, part.shape[1]), dtype=np.int8)
-            block[: len(lead)] = np.array(lead, dtype=np.int8).reshape(-1, 1)
-            rest = block[len(lead) :]
+            cols = np.empty((n, part.shape[1]), dtype=np.int8)
+            cols[: len(lead)] = np.array(lead, dtype=np.int8).reshape(-1, 1)
+            rest = cols[len(lead) :]
             np.add(part, 1, out=rest)
             for letter in sorted(lead):  # skip over the letters the lead uses
                 rest += rest >= letter
-            yield block.T
-
-
-def _filtered_blocks(n: int, first: int | None, conditions: PermFilter) -> Iterator[np.ndarray]:
-    """The blocks of ``_perm_blocks(n, first)`` cut down to the rows
-    satisfying every condition, in the same order."""
-    # Cheap positional masks first, pattern counting on the survivors.
-    ordered = sorted(conditions, key=lambda c: isinstance(c, PatternCount))
-    m = min(n - (first is not None), _TABLE_MAX_M)
-    per_lead = -(-math.factorial(m) // _CHUNK_ROWS)
-    for b, block in enumerate(_perm_blocks(n, first)):
-        cols = block.T  # one contiguous row per position
-        start = b % per_lead * _CHUNK_ROWS  # each lead covers the S_m table in order
-        rows = slice(start, start + cols.shape[1])  # the table rows left in cols
-        for c in ordered:
-            if isinstance(c, PatternCount):
-                counts = _lead_counts(cols, c.pattern, n - m) + _table_counts(m, c.pattern)[rows]
-                keep = counts == c.count
-            else:
-                keep = c.mask(cols.T)
-            if not keep.all():
-                kept = np.flatnonzero(keep)
-                cols = np.take(cols, kept, axis=1)
-                rows = kept + rows.start if isinstance(rows, slice) else rows[kept]
-        yield cols.T
+            rows = slice(start, start + part.shape[1])  # the table rows left in cols
+            for c in ordered:
+                if isinstance(c, PatternCount):
+                    counts = _lead_counts(cols, c.pattern, len(lead)) + _table_counts(m, c.pattern)[rows]
+                    keep = counts == c.count
+                else:
+                    keep = c.mask(cols.T)
+                if not keep.all():
+                    kept = np.flatnonzero(keep)
+                    cols = np.take(cols, kept, axis=1)
+                    rows = kept + rows.start if isinstance(rows, slice) else rows[kept]
+            yield cols.T
 
 
 def _count_block(n: int, first: int | None, conditions: PermFilter) -> int:
     return sum(len(arr) for arr in _filtered_blocks(n, first, conditions))
 
 
-def _allowed_firsts(n: int, conditions: PermFilter) -> list[int]:
-    """First letters compatible with the first-letter conditions, in
-    increasing order."""
+def _scan_firsts(n: int, conditions: PermFilter) -> list[int | None]:
+    """The first letters the first-letter conditions allow, in increasing
+    order; ``[None]`` scans all of S_n when they rule out no letter."""
     ok = set(range(1, n + 1))
     for c in conditions:
         if isinstance(c, FirstEq):
             ok &= {c.value}
         elif isinstance(c, FirstGe):
             ok &= set(range(c.value, n + 1))
-    return sorted(ok)
-
-
-def _scan_firsts(n: int, conditions: PermFilter) -> list[int | None]:
-    """The first letters whose blocks a serial scan visits, in order;
-    ``[None]`` scans all of S_n when no first letter is ruled out."""
-    firsts = _allowed_firsts(n, conditions)
-    return firsts if n >= 2 and len(firsts) < n else [None]
+    return sorted(ok) if len(ok) < n else [None]
 
 
 def stream_perms(
@@ -399,17 +379,15 @@ def count_perms(
         workers = _default_workers()  # read even when unused: a bad setting fails loudly
         if n < _PARALLEL_MIN_N:
             workers = 1
-    firsts = _allowed_firsts(n, conditions)
-    if workers <= 1 or n < 2 or len(firsts) <= 1:
-        return sum(_count_block(n, f, conditions) for f in _scan_firsts(n, conditions))
-    k = len(firsts)
-    try:
-        with ProcessPoolExecutor(max_workers=min(workers, k)) as pool:
-            parts = list(pool.map(_count_block, [n] * k, firsts, [conditions] * k))
-    except OSError as e:
-        print(f"permpaths: worker pool unavailable ({e}); counting serially", file=sys.stderr)
-        return sum(_count_block(n, f, conditions) for f in _scan_firsts(n, conditions))
-    return sum(parts)
+    firsts = _scan_firsts(n, conditions)
+    split = range(1, n + 1) if firsts == [None] else firsts  # one task per first letter
+    if workers > 1 and len(split) > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, len(split))) as pool:
+                return sum(pool.map(_count_block, [n] * len(split), split, [conditions] * len(split)))
+        except OSError as e:
+            print(f"permpaths: worker pool unavailable ({e}); counting serially", file=sys.stderr)
+    return sum(_count_block(n, f, conditions) for f in firsts)
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +466,6 @@ def enumerate_dyck(n: int, allow_large: bool = False) -> Iterator[str]:
     """
     _check_size(n)
     return enumerate_paths(n, n, lo=0, allow_large=allow_large)
-
-
-def count_dyck_class_oracle(
-    n: int, constraint: pathmod.DyckClassConstraint, allow_large: bool = False
-) -> int:
-    """Count a constrained Dyck class by filtering the full enumeration."""
-    stats = map(pathmod.path_stats, enumerate_dyck(n, allow_large=allow_large))
-    return sum(in_dyck_class(st, constraint) for st in stats)
 
 
 def in_dyck_class(st: pathmod.PathStats, constraint: pathmod.DyckClassConstraint) -> bool:

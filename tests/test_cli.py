@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from permpaths import cli, oracle
+from permpaths import cli, formulas, oracle
 
 
 def run(capsys, *argv):
@@ -51,6 +51,16 @@ def test_count_oracle_over_cap(capsys):
     )
     assert code == 3
     assert "resource limit" in err
+
+
+def test_count_size_cap(capsys):
+    """Every family prints its count at the cap (under Python's digit
+    limit for int-to-str), and the size past it exits 3."""
+    for family in sorted(formulas.FORMULAS):
+        code, out, err = run(capsys, "count", "--family", family, "--n", str(cli.MAX_COUNT_N))
+        assert code == 0 and out.strip().isdigit(), family
+        code, out, err = run(capsys, "count", "--family", family, "--n", str(cli.MAX_COUNT_N + 1))
+        assert code == 3 and out == "" and "resource limit" in err, family
 
 
 def test_count_bad_n(capsys):
@@ -315,6 +325,12 @@ def test_table_mismatch_exits_5(capsys, monkeypatch):
 def test_table_unknown_family(capsys):
     code, out, err = run(capsys, "table", "--family", "nope", "--nmax", "3")
     assert code == 2
+
+
+def test_table_size_cap(capsys):
+    nmax = str(cli.MAX_COUNT_N + 1)
+    code, out, err = run(capsys, "table", "--family", "p132-1", "--nmax", nmax, "--format", "json")
+    assert code == 3 and out == "" and "resource limit" in err
 
 
 # -- verify ------------------------------------------------------------------

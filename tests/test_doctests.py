@@ -4,6 +4,7 @@ package out of ``assert`` statements, which ``python -O`` strips."""
 import ast
 import doctest
 import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -38,3 +39,35 @@ def test_no_assert_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _package_imports(name: str) -> set[str]:
+    """The permpaths modules that module ``name`` imports, by any form of
+    import statement."""
+    path = pathlib.Path(permpaths.__file__).parent / f"{name}.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("permpaths.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = importlib.util.resolve_name("." * node.level + (node.module or ""), "permpaths")
+            if module == "permpaths":
+                found |= {a.name for a in node.names}
+            elif module.startswith("permpaths."):
+                found.add(module.split(".")[1])
+    return found
+
+
+@pytest.mark.parametrize(
+    "layer, forbidden",
+    [
+        ("oracle", {"formulas", "series", "bijections", "verify", "cli"}),
+        ("bijections", {"oracle", "formulas", "series", "verify"}),
+    ],
+)
+def test_layers_share_no_code_paths(layer, forbidden):
+    """The oracle and the bijections compute without the closed forms and
+    without each other, as the package docstring says."""
+    imports = _package_imports(layer)
+    assert "permutations" in imports  # the scan above sees the imports
+    assert imports & forbidden == set()

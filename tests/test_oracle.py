@@ -23,7 +23,7 @@ from permpaths.oracle import (
     MaxPosLe,
     OnePosGe,
     PatternCount,
-    _perm_blocks,
+    _filtered_blocks,
     _perm_table,
     _table_counts,
     count_perms,
@@ -103,7 +103,7 @@ def test_vectorized_mask_matches_holds(condition):
 
 def _assert_blocks_equal_itertools(n):
     for first in [None, *range(1, n + 1)]:
-        got = [tuple(row) for block in _perm_blocks(n, first) for row in block.tolist()]
+        got = [tuple(row) for block in _filtered_blocks(n, first, ()) for row in block.tolist()]
         want = [
             p for p in itertools.permutations(range(1, n + 1)) if first is None or p[0] == first
         ]
@@ -124,12 +124,12 @@ def test_perm_blocks_with_prefixes_equal_itertools(n, monkeypatch):
     monkeypatch.setattr(oracle_mod, "_TABLE_MAX_M", 3)
     monkeypatch.setattr(oracle_mod, "_CHUNK_ROWS", 4)
     _assert_blocks_equal_itertools(n)
-    assert max(len(b) for b in _perm_blocks(n)) <= 4
+    assert max(len(b) for b in _filtered_blocks(n, None, ())) <= 4
 
 
 def test_perm_blocks_past_the_table():
     rows = 0
-    for block in _perm_blocks(11, 4):
+    for block in _filtered_blocks(11, 4, ()):
         if rows == 0:
             assert tuple(block[0].tolist()) == (4, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11)
         assert len(block) <= 131072
@@ -179,6 +179,8 @@ def test_count_perms_worker_invariance():
     serial = count_perms(7, conds, workers=1)
     assert count_perms(7, conds, workers=2) == serial
     assert count_perms(7, conds, workers=5) == serial
+    for n in (0, 1):
+        assert count_perms(n, (), workers=2) == count_perms(n, (), workers=1) == 1
 
 
 @pytest.mark.parametrize("n", [9, 10])
@@ -242,8 +244,13 @@ STREAM_CONDITIONS = [
     LastRunIncreasing(0),
     LastRunIncreasing(1),
     LastRunIncreasing(8),
+    MaxPosLe(-1),
     MaxPosLe(0),
     MaxPosLe(1),
+    MaxPosLe(9),
+    OnePosGe(-1),
+    OnePosGe(0),
+    OnePosGe(9),
 ]
 
 
@@ -289,13 +296,13 @@ def test_stream_perms_skips_ruled_out_first_letters(monkeypatch):
     import permpaths.oracle as oracle_mod
 
     built = []
-    real = oracle_mod._perm_blocks
+    real = oracle_mod._filtered_blocks
 
-    def spy(n, first=None):
+    def spy(n, first, conditions):
         built.append(first)
-        return real(n, first)
+        return real(n, first, conditions)
 
-    monkeypatch.setattr(oracle_mod, "_perm_blocks", spy)
+    monkeypatch.setattr(oracle_mod, "_filtered_blocks", spy)
     rows = list(stream_perms(6, [FirstGe(5), PatternCount((3, 2, 1), 1)]))
     assert built == [5, 6]
     assert rows == list(enumerate_perms(6, [FirstGe(5), PatternCount((3, 2, 1), 1)]))
