@@ -43,7 +43,6 @@ from .oracle import (
     count_perms,
     enumerate_dyck,
     enumerate_paths,
-    enumerate_perms,
     marked_highpoint_histogram,
     oracle_count,
     stream_perms,
@@ -102,7 +101,6 @@ __all__ = [
     "dyck_to_records",
     "enumerate_dyck",
     "enumerate_paths",
-    "enumerate_perms",
     "heights",
     "insert_returns",
     "is_dyck",

@@ -107,10 +107,13 @@ def parse_filter(text: str) -> tuple[_Atom, ...]:
 
 def _known_family(family: str, n: int) -> bool:
     """Whether ``family`` names a formula, listing the known ones on stderr
-    if not; raises ResourceLimitError when ``n`` is over ``MAX_COUNT_N``."""
+    if not; raises InvalidInputError when ``n`` is below 1 and
+    ResourceLimitError when it is over ``MAX_COUNT_N``."""
     if family not in formulas.FORMULAS:
         print(f"unknown family {family!r}; known: {', '.join(sorted(formulas.FORMULAS))}", file=sys.stderr)
         return False
+    if n < 1:
+        raise InvalidInputError(f"n must be a positive integer: {n!r}")
     if n > MAX_COUNT_N:
         raise ResourceLimitError(f"size {n} over cap {MAX_COUNT_N}")
     return True

@@ -21,8 +21,8 @@ order, an index set inside the table is tried once per table row
 one only when a mask drops rows: ``count_perms`` sums what survives, and
 ``stream_perms`` hands the surviving rows out in lexicographic order
 (this is what ``permpaths enumerate`` prints, its filter atoms compiled
-to these conditions).  ``enumerate_perms`` and the per-word ``holds``
-predicates are the plain-Python reference; tests cross-check the two.
+to these conditions).  The tests check the scan against each
+condition's definition.
 
 Paths are generated without recursion, pruned at the height band
 rather than filtered after the fact: prefixes grow on an explicit
@@ -41,13 +41,13 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import paths as pathmod
 from .errors import InvalidInputError, ResourceLimitError
-from .permutations import check_pattern, count_occurrences
+from .permutations import check_pattern
 
 MAX_PERM_N = 11
 MAX_DYCK_SEMILENGTH = 14
@@ -74,9 +74,6 @@ class PatternCount:
         check_pattern(self.pattern)
         if self.count < 0:
             raise InvalidInputError("occurrence count must be >= 0")
-
-    def holds(self, word: Sequence[int]) -> bool:
-        return count_occurrences(word, self.pattern, cap=self.count) == self.count
 
     def counts(self, arr: np.ndarray) -> np.ndarray:
         """Occurrences of ``pattern`` in each row, by trying every one of the
@@ -117,9 +114,6 @@ def _lead_counts(cols: np.ndarray, pattern: tuple[int, ...], lead: int) -> np.nd
 class FirstEq:
     value: int
 
-    def holds(self, word: Sequence[int]) -> bool:
-        return len(word) > 0 and word[0] == self.value
-
     def mask(self, arr: np.ndarray) -> np.ndarray:
         if arr.shape[1] == 0:
             return np.zeros(arr.shape[0], dtype=bool)
@@ -130,9 +124,6 @@ class FirstEq:
 class FirstGe:
     value: int
 
-    def holds(self, word: Sequence[int]) -> bool:
-        return len(word) > 0 and word[0] >= self.value
-
     def mask(self, arr: np.ndarray) -> np.ndarray:
         if arr.shape[1] == 0:
             return np.zeros(arr.shape[0], dtype=bool)
@@ -142,9 +133,6 @@ class FirstGe:
 @dataclasses.dataclass(frozen=True)
 class LastLe:
     value: int
-
-    def holds(self, word: Sequence[int]) -> bool:
-        return len(word) > 0 and word[-1] <= self.value
 
     def mask(self, arr: np.ndarray) -> np.ndarray:
         if arr.shape[1] == 0:
@@ -158,13 +146,6 @@ class LastRunIncreasing:
     shorter than ``length``)."""
 
     length: int
-
-    def holds(self, word: Sequence[int]) -> bool:
-        i = self.length
-        if len(word) < i:
-            return False
-        tail = word[len(word) - i :]
-        return all(tail[t] < tail[t + 1] for t in range(i - 1))
 
     def mask(self, arr: np.ndarray) -> np.ndarray:
         n = arr.shape[1]
@@ -182,9 +163,6 @@ class OnePosGe:
 
     position: int
 
-    def holds(self, word: Sequence[int]) -> bool:
-        return len(word) > 0 and word.index(1) + 1 >= self.position
-
     def mask(self, arr: np.ndarray) -> np.ndarray:
         return (arr[:, max(self.position - 1, 0) :] == 1).any(axis=1)
 
@@ -195,9 +173,6 @@ class MaxPosLe:
 
     position: int
 
-    def holds(self, word: Sequence[int]) -> bool:
-        return len(word) > 0 and word.index(len(word)) + 1 <= self.position
-
     def mask(self, arr: np.ndarray) -> np.ndarray:
         return (arr[:, : max(self.position, 0)] == arr.shape[1]).any(axis=1)
 
@@ -207,10 +182,6 @@ PermCondition = (
 )
 
 PermFilter = tuple[PermCondition, ...]
-
-
-def matches(word: Sequence[int], conditions: Iterable[PermCondition]) -> bool:
-    return all(c.holds(word) for c in conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +201,6 @@ def _check_perm_size(n: int, allow_large: bool) -> None:
         raise ResourceLimitError(
             f"refusing to enumerate S_{n} (cap {MAX_PERM_N}); pass allow_large to force"
         )
-
-
-def enumerate_perms(
-    n: int, conditions: Iterable[PermCondition] = (), allow_large: bool = False
-) -> Iterator[tuple[int, ...]]:
-    """All permutations of 1..n satisfying every condition, in
-    lexicographic order, tested one by one with ``holds`` (the
-    reference for ``stream_perms``)."""
-    _check_perm_size(n, allow_large)
-    conditions = tuple(conditions)
-    for p in itertools.permutations(range(1, n + 1)):
-        if matches(p, conditions):
-            yield p
 
 
 _TABLE_MAX_M = 9  # S_9 is 362,880 rows, 3.3 MB as int8
@@ -340,7 +298,7 @@ def _scan_firsts(n: int, conditions: PermFilter) -> list[int | None]:
 def stream_perms(
     n: int, conditions: Iterable[PermCondition] = (), allow_large: bool = False
 ) -> Iterator[tuple[int, ...]]:
-    """The rows of ``enumerate_perms(n, conditions)``, in the same
+    """All permutations of 1..n satisfying every condition, in
     lexicographic order, from the vectorized scan: each block of S_n is
     masked in numpy and only its survivors become tuples.  Blocks whose
     first letter a first-letter condition rules out are never built.
@@ -432,14 +390,16 @@ def _banded_paths(ups: int, downs: int, lo: int | None, hi: int | None) -> Itera
     if length and not inside(end):
         return  # no path ends in the band, so skip searching every prefix
     tail = min(length, _SUFFIX_STEPS)
-    # suffixes[h]: the in-band step strings of the current suffix length
-    # from height h to ``end``, in lexicographic order
+    # suffixes[h]: the in-band step strings of the current suffix length t
+    # from height h to ``end``, in lexicographic order; only the heights
+    # the length - t steps before the suffix can reach from 0 are kept
     suffixes = {end: [""]}
-    for _ in range(tail):
+    for t in range(1, tail + 1):
         after = {h: group for h, group in suffixes.items() if inside(h)}
         suffixes = {
             h: ["D" + s for s in after.get(h - 1, ())] + ["U" + s for s in after.get(h + 1, ())]
             for h in {g + step for g in after for step in (-1, 1)}
+            if abs(h) <= length - t
         }
     head_len = length - tail
     head = [""] * head_len

@@ -64,8 +64,11 @@ def test_count_size_cap(capsys):
 
 
 def test_count_bad_n(capsys):
-    code, out, err = run(capsys, "count", "--family", "p321-1", "--n", "0")
-    assert code == 2
+    for n in ("0", "-5"):
+        for mode in ("formula", "oracle", "both"):
+            code, out, err = run(capsys, "count", "--family", "p321-1", "--n", n, "--mode", mode)
+            assert code == 2 and out == "", (n, mode)
+            assert f"n must be a positive integer: {n}" in err, (n, mode)
 
 
 def test_count_mismatch_exits_5(capsys, monkeypatch):
@@ -331,6 +334,11 @@ def test_table_size_cap(capsys):
     nmax = str(cli.MAX_COUNT_N + 1)
     code, out, err = run(capsys, "table", "--family", "p132-1", "--nmax", nmax, "--format", "json")
     assert code == 3 and out == "" and "resource limit" in err
+    for nmax in ("0", "-3"):
+        for fmt in ("csv", "json"):
+            code, out, err = run(capsys, "table", "--family", "p132-1", "--nmax", nmax, "--format", fmt)
+            assert code == 2 and out == "", (nmax, fmt)
+            assert f"n must be a positive integer: {nmax}" in err, (nmax, fmt)
 
 
 # -- verify ------------------------------------------------------------------

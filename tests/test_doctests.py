@@ -6,6 +6,7 @@ import doctest
 import importlib
 import importlib.util
 import pathlib
+import types
 
 import pytest
 
@@ -27,6 +28,17 @@ def test_module_doctests(name):
     result = doctest.testmod(module)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def test_all_lists_the_public_names():
+    """``__all__`` names exactly what the package binds, apart from its
+    submodules, so a removed function cannot stay listed or exported."""
+    bound = {
+        name
+        for name, value in vars(permpaths).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(permpaths.__all__) == bound
 
 
 def test_no_assert_in_package():

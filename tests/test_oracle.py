@@ -1,9 +1,10 @@
 """Tests for the exhaustive-search oracle.
 
 The oracle is the ground truth everything else is measured against, so
-its own tests stick to definitions: tiny hand-checked cases, agreement
-between the streaming and vectorized code paths, and determinism across
-worker counts.
+its own tests stick to definitions: tiny hand-checked cases, the scan
+against each condition's definition (``_definition``, filtered over
+``itertools.permutations`` by ``brute``), and determinism across worker
+counts.
 """
 
 import itertools
@@ -29,13 +30,12 @@ from permpaths.oracle import (
     count_perms,
     enumerate_dyck,
     enumerate_paths,
-    enumerate_perms,
     marked_highpoint_histogram,
-    matches,
     oracle_count,
     stream_perms,
 )
 from permpaths.paths import binomial, catalan, is_dyck
+from permpaths.permutations import count_occurrences
 
 ALL_CONDITIONS = [
     PatternCount((3, 2, 1), 1),
@@ -50,55 +50,55 @@ ALL_CONDITIONS = [
 ]
 
 
+def _definition(p, c):
+    """Whether the word ``p`` satisfies condition ``c``, from its
+    definition; the letter and position conditions are false on ``()``."""
+    n = len(p)
+    if isinstance(c, PatternCount):
+        return count_occurrences(p, c.pattern) == c.count
+    if isinstance(c, LastRunIncreasing):
+        i = c.length
+        return n >= i and all(p[j] < p[j + 1] for j in range(n - i, n - 1))
+    if n == 0:
+        return False
+    if isinstance(c, FirstEq):
+        return p[0] == c.value
+    if isinstance(c, FirstGe):
+        return p[0] >= c.value
+    if isinstance(c, LastLe):
+        return p[-1] <= c.value
+    if isinstance(c, OnePosGe):
+        return p.index(1) + 1 >= c.position
+    if isinstance(c, MaxPosLe):
+        return p.index(n) + 1 <= c.position
+    raise AssertionError(c)
+
+
+def brute(n, conds):
+    perms = itertools.permutations(range(1, n + 1))
+    return [p for p in perms if all(_definition(p, c) for c in conds)]
+
+
 def test_enumerate_perms_is_lexicographic():
-    got = list(enumerate_perms(3))
+    got = list(stream_perms(3))
     assert got == sorted(got)
     assert len(got) == 6
 
 
 def test_enumerate_perms_filters():
-    got = list(enumerate_perms(3, [PatternCount((2, 1), 1)]))
+    got = list(stream_perms(3, [PatternCount((2, 1), 1)]))
     assert got == [(1, 3, 2), (2, 1, 3)]
 
 
-def test_conditions_against_definitions():
-    """Each condition's ``holds`` agrees with a from-scratch predicate
-    on every word of S_5."""
-    from permpaths.permutations import count_occurrences
-
-    def naive(p, c):
-        n = len(p)
-        if isinstance(c, PatternCount):
-            return count_occurrences(p, c.pattern) == c.count
-        if isinstance(c, FirstEq):
-            return p[0] == c.value
-        if isinstance(c, FirstGe):
-            return p[0] >= c.value
-        if isinstance(c, LastLe):
-            return p[-1] <= c.value
-        if isinstance(c, LastRunIncreasing):
-            i = c.length
-            return n >= i and all(p[j] < p[j + 1] for j in range(n - i, n - 1))
-        if isinstance(c, OnePosGe):
-            return p.index(1) + 1 >= c.position
-        if isinstance(c, MaxPosLe):
-            return p.index(n) + 1 <= c.position
-        raise AssertionError(c)
-
-    for p in itertools.permutations(range(1, 6)):
-        for c in ALL_CONDITIONS:
-            assert c.holds(p) == naive(p, c), (p, c)
-
-
 @pytest.mark.parametrize("condition", ALL_CONDITIONS)
-def test_vectorized_mask_matches_holds(condition):
+def test_vectorized_mask_matches_definition(condition):
     import numpy as np
 
     rows = list(itertools.permutations(range(1, 7)))
     arr = np.array(rows, dtype=np.int8)
     mask = condition.mask(arr)
     for row, bit in zip(rows, mask):
-        assert bool(bit) == condition.holds(row), (row, condition)
+        assert bool(bit) == _definition(row, condition), (row, condition)
 
 
 def _assert_blocks_equal_itertools(n):
@@ -141,8 +141,6 @@ def test_perm_blocks_past_the_table():
 def test_pattern_counts_match_count_occurrences():
     import numpy as np
 
-    from permpaths.permutations import count_occurrences
-
     rows = list(itertools.permutations(range(1, 7)))
     arr = np.array(rows, dtype=np.int8)
     for k in (1, 2, 3):
@@ -170,8 +168,7 @@ def test_table_counts_equal_definitional_counts(m):
 
 def test_count_perms_equals_streaming_filter():
     for conds in [(), (FirstEq(3),), (PatternCount((3, 2, 1), 1), LastRunIncreasing(2))]:
-        want = sum(1 for _ in enumerate_perms(6, conds))
-        assert count_perms(6, conds) == want
+        assert count_perms(6, conds) == len(brute(6, conds))
 
 
 def test_count_perms_worker_invariance():
@@ -223,10 +220,7 @@ def test_first_letter_pruning_matches_full_scan():
         (FirstEq(2), FirstGe(4)),
         (FirstEq(9),),
     ]:
-        brute = sum(
-            1 for p in itertools.permutations(range(1, 8)) if matches(p, conds)
-        )
-        assert count_perms(7, conds) == brute, conds
+        assert count_perms(7, conds) == len(brute(7, conds)), conds
 
 
 # the condition kinds the CLI filter atoms compile to, with values past 1..n
@@ -256,9 +250,9 @@ STREAM_CONDITIONS = [
 
 @pytest.mark.parametrize("n", range(8))
 def test_stream_perms_equals_enumerate_perms_per_condition(n):
-    assert list(stream_perms(n)) == list(enumerate_perms(n))
+    assert list(stream_perms(n)) == brute(n, ())
     for c in STREAM_CONDITIONS:
-        assert list(stream_perms(n, [c])) == list(enumerate_perms(n, [c])), c
+        assert list(stream_perms(n, [c])) == brute(n, [c]), c
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,7 +261,7 @@ def test_stream_perms_equals_enumerate_perms_per_condition(n):
     conds=st.lists(st.sampled_from(STREAM_CONDITIONS), min_size=2, max_size=4).map(tuple),
 )
 def test_stream_perms_equals_enumerate_perms_conjunctions(n, conds):
-    assert list(stream_perms(n, conds)) == list(enumerate_perms(n, conds))
+    assert list(stream_perms(n, conds)) == brute(n, conds)
 
 
 def test_stream_perms_across_small_blocks(monkeypatch):
@@ -286,7 +280,7 @@ def test_stream_perms_across_small_blocks(monkeypatch):
         (PatternCount((2, 4, 1, 3), 1), MaxPosLe(4), LastLe(5)),
         (FirstEq(2), PatternCount((1, 3, 2, 4), 1), PatternCount((3, 2, 1), 1)),
     ]:
-        want = list(enumerate_perms(6, conds))
+        want = brute(6, conds)
         assert list(stream_perms(6, conds)) == want, conds
         assert count_perms(6, conds, workers=1) == len(want), conds
         assert count_perms(6, conds, workers=2) == len(want), conds
@@ -305,20 +299,16 @@ def test_stream_perms_skips_ruled_out_first_letters(monkeypatch):
     monkeypatch.setattr(oracle_mod, "_filtered_blocks", spy)
     rows = list(stream_perms(6, [FirstGe(5), PatternCount((3, 2, 1), 1)]))
     assert built == [5, 6]
-    assert rows == list(enumerate_perms(6, [FirstGe(5), PatternCount((3, 2, 1), 1)]))
+    assert rows == brute(6, [FirstGe(5), PatternCount((3, 2, 1), 1)])
 
 
 def test_perm_cap():
     with pytest.raises(ResourceLimitError):
         count_perms(12, ())
-    with pytest.raises(ResourceLimitError):
-        list(enumerate_perms(12))
     with pytest.raises(InvalidInputError):
         count_perms(-1, ())
     with pytest.raises(InvalidInputError):
         count_perms(True, ())
-    with pytest.raises(InvalidInputError):
-        list(enumerate_perms(False))
     with pytest.raises(ResourceLimitError):
         list(stream_perms(12))
     with pytest.raises(InvalidInputError):
@@ -412,14 +402,3 @@ def test_oracle_count_rejects_unknown_family():
     with pytest.raises(InvalidInputError):
         oracle_count("p999-1", 5)
 
-
-@given(
-    n=st.integers(0, 6),
-    data=st.data(),
-)
-def test_streamed_perms_all_match(n, data):
-    conds = data.draw(
-        st.lists(st.sampled_from(ALL_CONDITIONS), max_size=2).map(tuple)
-    )
-    for p in itertools.islice(enumerate_perms(n, conds), 50):
-        assert matches(p, conds)
