@@ -517,12 +517,10 @@ FAMILY_CONDITIONS: dict[str, PermFilter] = {
 }
 
 
-def oracle_count(
-    family: str, n: int, workers: int | None = None, allow_large: bool = False
-) -> int:
+def oracle_count(family: str, n: int) -> int:
     """Count one of the named families by exhaustive enumeration."""
     try:
         conditions = FAMILY_CONDITIONS[family]
     except KeyError:
         raise InvalidInputError(f"unknown family {family!r}") from None
-    return count_perms(n, conditions, workers=workers, allow_large=allow_large)
+    return count_perms(n, conditions)

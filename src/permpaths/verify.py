@@ -9,10 +9,14 @@ grid.  Checks are grouped into suites ("formulas", "bijections",
 
 A bijection check is a domain, a forward map, its inverse and a
 codomain, run through one helper, ``_matched_pair``: every element
-round-trips and the images are exactly the codomain.  Its classes are
-picked by the oracle's own conditions, the permutation conditions'
-``mask`` (``_where``) and ``oracle.in_dyck_class`` on the cached
-statistics of each Dyck path, never by comparisons spelled again here.
+round-trips and the images are exactly the codomain.  Every class the
+oracle has a condition for comes from the oracle: permutation classes
+from one cached scan query (``_perms``), Dyck classes from
+``oracle.in_dyck_class`` on the cached statistics of each path, and
+height bands from ``enumerate_paths``.  Only the shapes the oracle has
+no condition for are spelled here: where a lone 132 sits
+(``_adjacent``, ``_boundary``), how two 321s meet (``_two321_kind``)
+and the upstep transfer's headroom.
 
 ``nmax`` scales the work: enumeration sweeps run up to
 ``min(nmax, cap)`` where the cap keeps state spaces finite, and pure
@@ -27,9 +31,7 @@ import dataclasses
 import functools
 import itertools
 import math
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import Callable, Iterable
 
 from . import bijections as bij
 from . import formulas, oracle, series
@@ -43,6 +45,7 @@ from .oracle import (
     MaxPosLe,
     OnePosGe,
     PatternCount,
+    PermCondition,
     count_perms,
     enumerate_dyck,
     enumerate_paths,
@@ -82,21 +85,15 @@ def _eq(actual, expected, context: str) -> None:
 # enumeration helpers (cached; these back several checks)
 
 
-# The most occurrences any check asks the census for.
-_CENSUS_KMAX = 2
+_AVOID_321 = PatternCount((3, 2, 1), 0)
+_AVOID_132 = PatternCount((1, 3, 2), 0)
 
 
 @functools.lru_cache(maxsize=None)
-def _pattern_census(n: int, pattern: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Permutations of [n] grouped by occurrence count of ``pattern``:
-    entry k lists those with exactly k occurrences, for k <= _CENSUS_KMAX,
-    in lexicographic order, from the oracle's scan."""
-    scans = (stream_perms(n, [PatternCount(pattern, k)]) for k in range(_CENSUS_KMAX + 1))
-    return tuple(map(tuple, scans))
-
-
-def _avoiders(n: int, pattern: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return _pattern_census(n, pattern)[0]
+def _perms(n: int, *conditions: PermCondition) -> tuple[tuple[int, ...], ...]:
+    """The permutations of [n] passing every oracle condition, in
+    lexicographic order, from the oracle's scan."""
+    return tuple(stream_perms(n, conditions))
 
 
 @functools.lru_cache(maxsize=None)
@@ -108,14 +105,6 @@ def _dyck_list(n: int) -> tuple[str, ...]:
 def _dyck_stats(n: int) -> tuple[pathmod.PathStats, ...]:
     """``path_stats`` of each path of ``_dyck_list(n)``, in the same order."""
     return tuple(map(path_stats, _dyck_list(n)))
-
-
-def _where(words: Sequence[tuple[int, ...]], *conditions) -> list[tuple[int, ...]]:
-    """The words (a nonempty list, all of one length) passing every
-    oracle condition's ``mask``, in order."""
-    rows = np.array(words, dtype=np.int8)
-    keep = np.logical_and.reduce([c.mask(rows) for c in conditions])
-    return [words[r] for r in np.flatnonzero(keep)]
 
 
 def _matched_pair(
@@ -178,9 +167,7 @@ def _check_binomial_reassembly(nmax: int) -> str:
 def _check_first_letter_six(nmax: int) -> str:
     top = min(nmax, 9)
     for n in range(3, top + 1):
-        scan = count_perms(
-            n + 3, (PatternCount((3, 2, 1), 0), FirstEq(6)), allow_large=True
-        )
+        scan = count_perms(n + 3, (_AVOID_321, FirstEq(6)), allow_large=True)
         _eq(formulas.count("p321-1", n), scan, f"first-letter-6 avoiders at n={n}")
     return f"one-321 count = avoiders of [n+3] starting 6, for n <= {top}"
 
@@ -202,12 +189,10 @@ def _check_avoider_classes(nmax: int) -> str:
     top = min(nmax, 8)
     checked = 0
     for n in range(1, top + 1):
-        av = np.array(_avoiders(n, (3, 2, 1)), dtype=np.int8)
         for constraint, conditions in _avoider_class_pairs(n):
-            scan = np.logical_and.reduce([c.mask(av) for c in conditions])
             _eq(
                 formulas.count_avoider_class(n, constraint),
-                int(scan.sum()),
+                count_perms(n, (_AVOID_321, *conditions)),
                 f"{constraint} at n={n}",
             )
             checked += 1
@@ -221,7 +206,7 @@ def _check_avoider_classes(nmax: int) -> str:
 def _check_records_bijection(nmax: int) -> str:
     top = min(nmax, 9)
     for n in range(1, top + 1):
-        av = _avoiders(n, (3, 2, 1))
+        av = _perms(n, _AVOID_321)
         images = _matched_pair(f"records n={n}", av, bij.records_to_dyck, bij.dyck_to_records,
                                _dyck_list(n))
         for p, d in zip(av, images):
@@ -281,11 +266,10 @@ def _check_transfer_bijection(nmax: int) -> str:
 def _check_rotate_bijection(nmax: int) -> str:
     top = min(nmax, 8)
     for n in range(2, top + 1):
-        av = _avoiders(n, (3, 2, 1))
         for i in range(1, n):
-            _matched_pair(f"rotation n={n} i={i}", _where(av, LastRunIncreasing(i)),
+            _matched_pair(f"rotation n={n} i={i}", _perms(n, _AVOID_321, LastRunIncreasing(i)),
                           lambda p: bij.tail_rotate(p, i), lambda q: bij.tail_rotate_inverse(q, i),
-                          _where(av, MaxPosLe(n - i + 1)))
+                          _perms(n, _AVOID_321, MaxPosLe(n - i + 1)))
     return f"tail rotation matches increasing-tail and max-position classes, n <= {top}"
 
 
@@ -303,8 +287,8 @@ def _boundary(occ, m: int) -> bool:
 def _one132_class(m: int, keep: Callable) -> list[tuple[int, ...]]:
     """The permutations of [m] with exactly one 132, an occurrence that
     ``keep(occurrence, m)`` accepts."""
-    census = _pattern_census(m, (1, 3, 2))[1]
-    return [p for p in census if keep(next(occurrences(p, (1, 3, 2))), m)]
+    one = _perms(m, PatternCount((1, 3, 2), 1))
+    return [p for p in one if keep(next(occurrences(p, (1, 3, 2))), m)]
 
 
 def _check_adjacent_132(nmax: int) -> str:
@@ -312,7 +296,7 @@ def _check_adjacent_132(nmax: int) -> str:
     for n in range(3, top + 1):
         _matched_pair(f"adjacent n={n}", _one132_class(n, _adjacent), bij.split_adjacent_132,
                       lambda rk: bij.join_adjacent_132(*rk),
-                      itertools.product(_avoiders(n - 2, (1, 3, 2)), range(1, n - 1)))
+                      itertools.product(_perms(n - 2, _AVOID_132), range(1, n - 1)))
     return f"adjacent-132 class <-> (avoider, position) pairs, n <= {top}"
 
 
@@ -320,7 +304,7 @@ def _check_boundary_132(nmax: int) -> str:
     top = min(nmax, 8)
     for n in range(3, top + 1):
         _matched_pair(f"boundary n={n}", _one132_class(n, _boundary), bij.split_boundary_132,
-                      bij.join_boundary_132, _avoiders(n - 3, (1, 3, 2)))
+                      bij.join_boundary_132, _perms(n - 3, _AVOID_132))
     return f"boundary-132 class <-> avoiders three sizes down, n <= {top}"
 
 
@@ -333,7 +317,7 @@ def _check_one132_decomposition(nmax: int) -> str:
             for pair in itertools.product(_one132_class(m, _adjacent),
                                           _one132_class(n + 3 - m, _boundary))
         ]
-        _matched_pair(f"one-132 n={n}", _pattern_census(n, (1, 3, 2))[1], bij.split_one132,
+        _matched_pair(f"one-132 n={n}", _perms(n, PatternCount((1, 3, 2), 1)), bij.split_one132,
                       lambda rs: bij.join_one132(*rs), codomain)
     return f"one-132 permutations <-> (adjacent, boundary) pairs, n <= {top}"
 
@@ -345,15 +329,15 @@ def _shared_codomain(n: int, j: int) -> list:
     return [
         pair
         for b in range(2, n)
-        for pair in itertools.product(_where(_avoiders(b + j - 1, (3, 2, 1)), LastLe(b - 1)),
-                                      _where(_avoiders(n - b + 1, (3, 2, 1)), OnePosGe(j + 1)))
+        for pair in itertools.product(_perms(b + j - 1, _AVOID_321, LastLe(b - 1)),
+                                      _perms(n - b + 1, _AVOID_321, OnePosGe(j + 1)))
     ]
 
 
 def _check_one321_decomposition(nmax: int) -> str:
     top = min(nmax, 8)
     for n in range(3, top + 1):
-        _matched_pair(f"one-321 n={n}", _pattern_census(n, (3, 2, 1))[1], bij.split_one321,
+        _matched_pair(f"one-321 n={n}", _perms(n, PatternCount((3, 2, 1), 1)), bij.split_one321,
                       lambda rs: bij.join_one321(*rs), _shared_codomain(n, 1))
     return f"one-321 permutations <-> avoider pairs, n <= {top}"
 
@@ -376,7 +360,7 @@ def _check_two321_decompositions(nmax: int) -> str:
     top = min(nmax, 8)
     for n in range(4, top + 1):
         kinds: dict[str, list] = {"shared-bottom": [], "shared-top": [], "distinct": []}
-        for p in _pattern_census(n, (3, 2, 1))[2]:
+        for p in _perms(n, PatternCount((3, 2, 1), 2)):
             kinds[_two321_kind(p)].append(p)
         shared, mirrored, distinct = kinds.values()
         # shared bottom letter: direct decomposition
@@ -389,8 +373,8 @@ def _check_two321_decompositions(nmax: int) -> str:
             pair
             for k in range(0, n - 3)
             for pair in itertools.product(
-                _pattern_census(n - k - 1, (3, 2, 1))[1],
-                _where(_avoiders(k + 2, (3, 2, 1)), FirstGe(2), LastLe(k + 1)),
+                _perms(n - k - 1, PatternCount((3, 2, 1), 1)),
+                _perms(k + 2, _AVOID_321, FirstGe(2), LastLe(k + 1)),
             )
         ]
         _matched_pair(f"distinct n={n}", distinct, bij.split_two321_distinct,
@@ -519,11 +503,10 @@ def _check_bounded_height(nmax: int) -> str:
     top = min(nmax, 12)
     hmax = 6
     for n in range(0, top + 1):
-        heights = [max(pathmod.heights(d), default=0) for d in _dyck_list(n)]
         for h in range(0, hmax + 1):
             _eq(
                 series.bounded_height_count(n, h),
-                sum(1 for v in heights if v <= h),
+                sum(1 for _ in enumerate_paths(n, n, lo=0, hi=h)),
                 f"bounded height at n={n}, h={h}",
             )
     return f"height-bounded counts match enumeration for n <= {top}, h <= {hmax}"
@@ -534,18 +517,11 @@ def _check_corridor(nmax: int) -> str:
     hmax, rsmax = 4, 3
     for n in range(0, top + 1):
         for h in range(1, hmax + 1):
-            # min/max prefix height of every unconstrained word once,
-            # then each corridor is a pair of comparisons
-            extremes = [
-                (min(pts), max(pts))
-                for d in enumerate_paths(n + h - 1, n, lo=None, hi=None)
-                for pts in [(0,) + pathmod.heights(d)]
-            ]
             for r in range(0, rsmax + 1):
                 for s in range(0, rsmax + 1):
                     _eq(
                         series.corridor_count(n, h, r, s),
-                        sum(1 for lo, hi in extremes if lo >= -r and hi <= s + h - 1),
+                        sum(1 for _ in enumerate_paths(n + h - 1, n, lo=-r, hi=s + h - 1)),
                         f"corridor at n={n}, h={h}, r={r}, s={s}",
                     )
     return f"corridor counts match enumeration for n <= {top}, h <= {hmax}, r, s <= {rsmax}"

@@ -2,7 +2,8 @@
 
 Everything runs in-process through ``cli.main`` so exit codes and
 stdout/stderr splits are observable without spawning subprocesses; the
-one exception reruns the verify report under ``python -O``.
+exceptions rerun the verify report under ``python -O`` and run the
+package as ``python -m permpaths``.
 """
 
 import hashlib
@@ -22,6 +23,16 @@ def run(capsys, *argv):
 
 
 # -- count -------------------------------------------------------------------
+
+
+def test_python_m_permpaths_runs_the_cli():
+    def run_m(*argv):
+        return subprocess.run([sys.executable, "-m", "permpaths", *argv],
+                              capture_output=True, text=True, timeout=60)
+
+    ok = run_m("count", "--family", "p321-1", "--n", "5")
+    assert (ok.returncode, ok.stdout) == (0, "27\n"), ok.stderr
+    assert run_m("count", "--family", "p999-1", "--n", "5").returncode == 2
 
 
 def test_count_formula(capsys):

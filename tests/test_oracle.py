@@ -345,10 +345,15 @@ def test_path_enumerators_reject_bool_sizes():
         enumerate_paths(1, False)
 
 
-def test_enumerate_paths_equals_brute_force():
+def test_enumerate_paths_equals_brute_force(monkeypatch):
     """Every step string of length <= 12, filtered by its step counts and
     the heights after each step; the bands include ones that exclude the
-    start height and ones the end height cannot reach."""
+    start height, ones the end height cannot reach and the corridor
+    check's.  With suffix tables of 12, 3 and 0 steps, each path is read
+    from the table alone, from prefix stack and table, and from the
+    stack alone."""
+    import permpaths.oracle as oracle_mod
+
     for length in range(13):
         words = []  # (word, ups, lowest and highest height after a step)
         for steps in itertools.product("DU", repeat=length):
@@ -359,21 +364,24 @@ def test_enumerate_paths_equals_brute_force():
                 high = h if high is None else max(high, h)
             words.append(("".join(steps), steps.count("U"), low, high))
         for ups in range(length + 1):
-            for lo in (None, -2, -1, 0, 1):
-                for hi in (None, -1, 0, 1, 2, 3):
+            for lo in (None, -3, -2, -1, 0, 1):
+                for hi in (None, -1, 0, 1, 2, 3, 4, 5, 6):
                     want = [
                         w for w, u, low, high in words
                         if u == ups
                         and (lo is None or low is None or low >= lo)
                         and (hi is None or high is None or high <= hi)
                     ]
-                    got = list(enumerate_paths(ups, length - ups, lo=lo, hi=hi))
-                    assert got == want, (ups, length - ups, lo, hi)
+                    for suffix_steps in (12, 3, 0):
+                        monkeypatch.setattr(oracle_mod, "_SUFFIX_STEPS", suffix_steps)
+                        got = list(enumerate_paths(ups, length - ups, lo=lo, hi=hi))
+                        assert got == want, (ups, length - ups, lo, hi, suffix_steps)
 
 
 def test_enumerate_paths_long_corridor():
-    # one path of 2,600 steps: no recursion depth grows with the length
-    got = list(enumerate_paths(1300, 1300, lo=0, hi=1, allow_large=True))
+    # one path of 2,600 steps: no recursion depth grows with the length;
+    # a second path, if the band let one through, would fail at once
+    got = list(itertools.islice(enumerate_paths(1300, 1300, lo=0, hi=1, allow_large=True), 2))
     assert got == ["UD" * 1300]
 
 

@@ -7,12 +7,13 @@ import pytest
 
 from permpaths import bijections, verify
 from permpaths.errors import VerificationError
+from permpaths.oracle import PatternCount
 from permpaths.permutations import count_occurrences
-from permpaths.verify import _pattern_census
+from permpaths.verify import _perms
 
 
 @pytest.mark.parametrize("pattern", [(1, 3, 2), (3, 2, 1), (1, 2, 3), (2, 1)])
-def test_pattern_census_equals_count_occurrences_grouping(pattern):
+def test_perms_equals_count_occurrences_grouping(pattern):
     for n in range(8):
         kmax = 2
         want = [[] for _ in range(kmax + 1)]
@@ -20,7 +21,8 @@ def test_pattern_census_equals_count_occurrences_grouping(pattern):
             c = count_occurrences(p, pattern)
             if c <= kmax:
                 want[c].append(p)
-        assert _pattern_census(n, pattern) == tuple(map(tuple, want)), n
+        for k in range(kmax + 1):
+            assert _perms(n, PatternCount(pattern, k)) == tuple(want[k]), (n, k)
 
 
 # -- bijection mutants --------------------------------------------------------
