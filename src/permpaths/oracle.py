@@ -7,22 +7,26 @@ paths in lexicographic order of their step strings (``D`` < ``U``);
 the order is deterministic and does not depend on the worker count.
 
 Counting sweeps over S_n are vectorized with numpy in chunks (and can
-be partitioned by first letter across worker processes; partial counts
-are summed in first-letter order, so results are identical for any
-worker count).  The rows are built in numpy, never as Python tuples:
-a lexicographic table of S_m (m <= 9) is built on first use and cached
-per process, and each block is a lead of fixed letters followed by a
-slice of that table relabelled onto the letters the lead leaves
-unused.  Each condition's ``mask`` tests its definition directly (a
-pattern count tries all C(n, k) index sets), so the scan does not
-share the counting method of ``permutations``; as relabelling keeps
-order, an index set inside the table is tried once per table row
-(``_table_counts``).  One generator builds and masks the blocks, copying
-one only when a mask drops rows: ``count_perms`` sums what survives, and
-``stream_perms`` hands the surviving rows out in lexicographic order
-(this is what ``permpaths enumerate`` prints, its filter atoms compiled
-to these conditions).  The tests check the scan against each
-condition's definition.
+be partitioned by first letter across worker processes, by default
+only from n = ``_PARALLEL_MIN_N``; partial counts are summed in
+first-letter order, so results are identical for any worker count).
+The rows are built in numpy, never as Python tuples: a lexicographic
+table of S_m (m <= 9) is built on first use and cached per process,
+and each block is a lead of fixed letters followed by a slice of that
+table relabelled onto the letters the lead leaves unused.  Each
+condition's ``mask`` tests its definition directly (a pattern count
+tries all C(n, k) index sets), so the scan does not share the counting
+method of ``permutations``; as relabelling keeps order, an index set
+inside the table is tried once per table row (``_table_counts``).  A
+lead only adds occurrences, so a table row with more occurrences
+inside the table than a pattern count allows fails under every lead;
+such rows are dropped from the table before any block is built (the
+partial-count cut of Noonan and Zeilberger, 1996).  One generator
+builds and masks the blocks, copying one only when a mask drops rows:
+``count_perms`` sums what survives, and ``stream_perms`` hands the
+surviving rows out in lexicographic order (this is what ``permpaths
+enumerate`` prints, its filter atoms compiled to these conditions).
+The tests check the scan against each condition's definition.
 
 Paths are generated without recursion, pruned at the height band
 rather than filtered after the fact: prefixes grow on an explicit
@@ -56,7 +60,7 @@ MAX_MARKED_SIZE = 12  # cap on n + k for marked-path histograms
 WORKERS_ENV_VAR = "PERMPATHS_WORKERS"
 
 _CHUNK_ROWS = 131072
-_PARALLEL_MIN_N = 10  # pool from here: p321-1 at n = 10 in 27 ms, 31 serial; 8.6/0.9 at 9
+_PARALLEL_MIN_N = 11  # pool from here: p321-4 at n = 11 in 0.18 s, 0.29 serial; 50/24 ms at 10
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +250,35 @@ def _filtered_blocks(n: int, first: int | None, conditions: PermFilter) -> Itera
     A block is a lead (``first``, then a prefix of the letters left after
     it, in lexicographic order) followed by a slice of the table of S_m,
     m = min(letters left, ``_TABLE_MAX_M``), relabelled onto the letters
-    the lead leaves unused.  Cheap positional masks run first and pattern
-    counts on their survivors; a block is copied only when a mask drops
-    rows.
+    the lead leaves unused.  A lead only adds occurrences, so before the
+    lead loop the table rows with more occurrences of a pattern inside
+    the table than its count allows are dropped (the partial-count cut of
+    Noonan and Zeilberger); only the rows left are built, relabelled and
+    masked.  With no lead (no first letter fixed and n <= ``_TABLE_MAX_M``)
+    the table holds every index set, so the cut tests equality and is the
+    whole pattern-count test.  Cheap positional masks run first and the
+    remaining pattern counts on their survivors; a block is copied only
+    when a mask drops rows.
     """
-    ordered = sorted(conditions, key=lambda c: isinstance(c, PatternCount))
     head = () if first is None else (first,)
     free = [v for v in range(1, n + 1) if v not in head]
     m = min(len(free), _TABLE_MAX_M)
+    leadless = first is None and m == n  # the table is all of S_n
     table = _perm_table(m)
+    counted = [c for c in conditions if isinstance(c, PatternCount)]
+    inside = [_table_counts(m, c.pattern) for c in counted]
+    if counted:
+        keep = functools.reduce(
+            np.logical_and,
+            (t == c.count if leadless else t <= c.count for c, t in zip(counted, inside)),
+        )
+        if not keep.all():
+            kept = np.flatnonzero(keep)
+            table = table[:, kept]
+            inside = [t[kept] for t in inside]
+    ordered = [(c, None) for c in conditions if not isinstance(c, PatternCount)]
+    if not leadless:
+        ordered += zip(counted, inside)
     for prefix in itertools.permutations(free, len(free) - m):
         lead = head + prefix
         for start in range(0, table.shape[1], _CHUNK_ROWS):
@@ -266,12 +290,11 @@ def _filtered_blocks(n: int, first: int | None, conditions: PermFilter) -> Itera
             for letter in sorted(lead):  # skip over the letters the lead uses
                 rest += rest >= letter
             rows = slice(start, start + part.shape[1])  # the table rows left in cols
-            for c in ordered:
-                if isinstance(c, PatternCount):
-                    counts = _lead_counts(cols, c.pattern, len(lead)) + _table_counts(m, c.pattern)[rows]
-                    keep = counts == c.count
-                else:
+            for c, t in ordered:
+                if t is None:
                     keep = c.mask(cols.T)
+                else:
+                    keep = _lead_counts(cols, c.pattern, len(lead)) + t[rows] == c.count
                 if not keep.all():
                     kept = np.flatnonzero(keep)
                     cols = np.take(cols, kept, axis=1)

@@ -3,8 +3,10 @@
 The tables below were generated once by exhaustive enumeration (n <= 9),
 the closed forms themselves at n = 10 and ``oracle_count(family, 11)``
 (under 20 s for all twelve families on two cores; each value equals the
-closed form), then frozen. A change in either route that breaks
-agreement shows up here without recomputing anything heavy.
+closed form), then frozen; ``p321-4`` also at n = 12, from
+``count_perms(12, ..., allow_large=True)`` (2.3 s on two cores). A
+change in either route that breaks agreement shows up here without
+recomputing anything heavy.
 """
 
 import hashlib
@@ -49,14 +51,40 @@ FROZEN = {
 }
 
 
+# values at n = 12, where the last row of p321-4, ballot(21, n - 12), is
+# first nonzero
+FROZEN_12 = {"p321-4": 1769705}
+
+
+def _frozen(family):
+    """The frozen (n, value) pairs of ``family``."""
+    pairs = list(enumerate(FROZEN[family], 1))
+    if family in FROZEN_12:
+        pairs.append((12, FROZEN_12[family]))
+    return pairs
+
+
+def _matches_frozen(family):
+    return all(count(family, n) == value for n, value in _frozen(family))
+
+
 def test_frozen_covers_all_families():
     assert set(FROZEN) == set(FORMULAS)
+    assert set(FROZEN_12) <= set(FORMULAS)
 
 
 @pytest.mark.parametrize("family", sorted(FROZEN))
 def test_family_matches_frozen_table(family):
-    got = [count(family, n) for n in range(1, 12)]
-    assert got == FROZEN[family]
+    pairs = _frozen(family)
+    assert [count(family, n) for n, _ in pairs] == [value for _, value in pairs]
+
+
+@pytest.mark.parametrize("family", ["p321-1", "p132-1"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_oracle_matches_frozen_at_11(family, workers):
+    """At n = 11 every block has a two-letter lead, and two workers split
+    the scan by first letter."""
+    assert count_perms(11, FAMILY_CONDITIONS[family], workers=workers) == FROZEN[family][10]
 
 
 @pytest.mark.parametrize("family", sorted(FROZEN))
@@ -75,14 +103,15 @@ def test_counts_to_300_golden():
     assert hashlib.sha256(text.encode()).hexdigest() == COUNTS_TO_300_SHA256
 
 
-# Single-field mutants no check at n <= 11 can kill, as (family, row index,
-# field index, edit). Row 3 of p321-4, ballot(21, n - 12), is zero for
-# n < 12, so only its s - 1 edit, nonzero at n = 11, dies. For
+# Single-field mutants no frozen value can kill, as (family, row index,
+# field index, edit). Row 3 of p321-4, c * ballot(k, n - s) = (1, 21, 12),
+# is zero for n < 12 and c * ballot(k, 0) = c for every k at n = 12, so
+# the n = 12 value kills its c +- 1 and s + 1 edits (s - 1 dies at
+# n = 11) but not k +- 1, which first differ at n = 13. For
 # simion-schmidt, binom(n + a, 0) = 1 for a = -1, 0, 1, so those two edits
 # give the same formula.
 SURVIVING_MUTANTS = {
-    *(("p321-4", 3, field, edit) for field in range(2) for edit in (-1, 1)),
-    ("p321-4", 3, 2, 1),
+    *(("p321-4", 3, 1, edit) for edit in (-1, 1)),
     ("simion-schmidt", 0, 1, -1),
     ("simion-schmidt", 0, 1, 1),
 }
@@ -90,7 +119,7 @@ SURVIVING_MUTANTS = {
 
 def test_row_mutants_against_frozen(monkeypatch):
     """Every +-1 edit of one field of one row either breaks the row rule
-    or changes some value at n <= 11, except the known survivors."""
+    or changes some frozen value, except the known survivors."""
     survivors, rejected = set(), 0
     for family, (kind, rows) in FORMULAS.items():
         for r, row in enumerate(rows):
@@ -104,7 +133,7 @@ def test_row_mutants_against_frozen(monkeypatch):
                         rejected += 1
                         continue
                     monkeypatch.setitem(FORMULAS, family, mutant)
-                    if [count(family, n) for n in range(1, 12)] == FROZEN[family]:
+                    if _matches_frozen(family):
                         survivors.add((family, r, field, edit))
     assert survivors == SURVIVING_MUTANTS
     assert rejected == 34

@@ -166,6 +166,39 @@ def test_table_counts_equal_definitional_counts(m):
         assert got.tolist() == want.tolist(), pattern
 
 
+def _rows_starting_with(n, first):
+    """The permutations of 1..n starting with ``first``, one row each,
+    built from ``itertools.permutations`` rather than the oracle's table."""
+    import numpy as np
+
+    rest = [v for v in range(1, n + 1) if v != first]
+    rows = itertools.chain.from_iterable((first, *p) for p in itertools.permutations(rest))
+    return np.fromiter(rows, dtype=np.int8).reshape(-1, n)
+
+
+@pytest.mark.parametrize("first", [1, 6])
+def test_pruned_lead_scan_equals_census(first):
+    """A fixed first letter makes every block's lead non-empty, so the
+    table rows over a count are cut and the rest lead-counted; each count
+    0..4 of each 3-letter pattern must equal a census of all 9! rows."""
+    import numpy as np
+
+    rows = _rows_starting_with(10, first)
+    for pattern in itertools.permutations((1, 2, 3)):
+        census = np.bincount(PatternCount(pattern, 0).counts(rows), minlength=5)
+        for c in range(5):
+            got = count_perms(10, (FirstEq(first), PatternCount(pattern, c)))
+            assert got == census[c], (pattern, c)
+
+
+def test_counts_past_the_table_counts_range():
+    """``_table_counts`` holds uint8, so a count of 300 must not wrap to
+    the 44 that some rows of S_9 have."""
+    assert count_perms(9, (PatternCount((3, 2, 1), 44),)) > 0
+    for n in (9, 10):
+        assert count_perms(n, (PatternCount((3, 2, 1), 300),)) == 0
+
+
 def test_count_perms_equals_streaming_filter():
     for conds in [(), (FirstEq(3),), (PatternCount((3, 2, 1), 1), LastRunIncreasing(2))]:
         assert count_perms(6, conds) == len(brute(6, conds))
@@ -200,6 +233,35 @@ def test_pool_failure_falls_back_with_warning(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and "serial" in err and "no processes" in err
+
+
+def test_pool_starts_from_n_11(monkeypatch):
+    """With two workers allowed, a default count starts no pool at n = 10,
+    where the scan is faster than the pool's start-up, and one at n = 11."""
+    import permpaths.oracle as oracle_mod
+
+    started = []
+
+    class CountingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            return map(fn, *args)
+
+    monkeypatch.setenv("PERMPATHS_WORKERS", "2")
+    monkeypatch.setattr(oracle_mod, "ProcessPoolExecutor", CountingPool)
+    conds = FAMILY_CONDITIONS["simion-schmidt"]
+    assert count_perms(10, conds) == 512
+    assert started == []
+    assert count_perms(11, conds) == 1024
+    assert started == [2]
 
 
 def test_workers_env_var(monkeypatch):
